@@ -41,7 +41,6 @@ var (
 	flagTag      = flag.String("tag", "", "suffix for the BENCH_<date> filename")
 	flagBaseline = flag.Bool("baseline", false, "mark this run as the baseline of a before/after pair")
 	flagProfile  = flag.String("cpuprofile", "", "write a CPU profile of the measured region to this file")
-	flagNoBatch  = flag.Bool("nobatch", false, "disable datapath batching (burst dequeue, GRO, GSO) in the measured stacks")
 )
 
 // latencyCell is one row of a request-response table (Tables 1-2,
@@ -84,12 +83,9 @@ type microCell struct {
 	MBps float64 `json:"mb_s"`
 }
 
-// batchCell is one row of the batching table: bulk IPv6 TCP
-// throughput with the datapath batching stages toggled individually,
-// across netisr worker counts.
-type batchCell struct {
-	GRO     bool    `json:"gro"`
-	GSO     bool    `json:"gso"`
+// workerCell is one row of the stream table: bulk IPv6 TCP
+// throughput at a netisr worker count.
+type workerCell struct {
 	Workers int     `json:"workers"`
 	KBps    float64 `json:"kbps"`
 }
@@ -136,7 +132,7 @@ type report struct {
 	Figure8 []latencyCell  `json:"figure8,omitempty"`
 	Micro   []microCell    `json:"micro,omitempty"`
 	Conns   []connCell     `json:"conns,omitempty"`
-	Stream  []batchCell    `json:"stream,omitempty"`
+	Stream  []workerCell   `json:"stream,omitempty"`
 	Tunnel  []tunnelCell   `json:"tunnel,omitempty"`
 	Topo    []topoCell     `json:"topo,omitempty"`
 	// Snapshots holds the full counter state of every stack used by
@@ -156,12 +152,7 @@ type testbed struct {
 	port     uint16
 }
 
-func newTestbed() *testbed {
-	if *flagNoBatch {
-		return newTestbedOpts(bsd6.Options{BurstSize: -1, GRO: -1, GSO: -1})
-	}
-	return newTestbedOpts(bsd6.Options{})
-}
+func newTestbed() *testbed { return newTestbedOpts(bsd6.Options{}) }
 
 func newTestbedOpts(opts bsd6.Options) *testbed {
 	hub := bsd6.NewHub()
@@ -609,41 +600,17 @@ func conns() {
 	}
 }
 
-// streamTable regenerates the batching table: bulk IPv6 TCP streaming
-// with GRO (receive coalescing) and GSO (send super-segments) toggled
-// one at a time, across netisr worker counts.  This is the table that
-// justifies the batched datapath — the "both" row should pull away
-// from the "neither" row at every worker count, and add workers
-// without collapsing (sharded stats keep the counters off the shared
-// cache lines the workers would otherwise fight over).
+// streamTable measures bulk IPv6 TCP streaming across netisr worker
+// counts.
 func streamTable() {
-	fmt.Println("\nStream: batched-datapath TCP throughput, IPv6 (KB/s)")
-	fmt.Printf("%6s %6s %9s %12s\n", "gro", "gso", "workers", "KB/s")
-	onoff := func(b bool) string {
-		if b {
-			return "on"
-		}
-		return "off"
-	}
-	for _, cfg := range []struct{ gro, gso bool }{
-		{false, false}, {true, false}, {false, true}, {true, true},
-	} {
-		for _, workers := range []int{1, 4, 8} {
-			opts := bsd6.Options{NetisrWorkers: workers}
-			if !cfg.gro {
-				opts.GRO = -1
-			}
-			if !cfg.gso {
-				opts.GSO = -1
-			}
-			tb := newTestbedOpts(opts)
-			kbps := tb.stream(true, true, 1<<16, 1<<20, nil)
-			tb.close()
-			fmt.Printf("%6s %6s %9d %12.0f\n", onoff(cfg.gro), onoff(cfg.gso), workers, kbps)
-			results.Stream = append(results.Stream, batchCell{
-				GRO: cfg.gro, GSO: cfg.gso, Workers: workers, KBps: kbps,
-			})
-		}
+	fmt.Println("\nStream: TCP throughput by netisr workers, IPv6 (KB/s)")
+	fmt.Printf("%9s %12s\n", "workers", "KB/s")
+	for _, workers := range []int{1, 4, 8} {
+		tb := newTestbedOpts(bsd6.Options{NetisrWorkers: workers})
+		kbps := tb.stream(true, true, 1<<16, 1<<20, nil)
+		tb.close()
+		fmt.Printf("%9d %12.0f\n", workers, kbps)
+		results.Stream = append(results.Stream, workerCell{Workers: workers, KBps: kbps})
 	}
 }
 
@@ -655,13 +622,9 @@ func streamTable() {
 // system-wide "use" policy wraps the encapsulated traffic — the full
 // §3 composition.
 func tunnelStream(mode bsd6.TunnelMode, espAlg string) float64 {
-	var opts bsd6.Options
-	if *flagNoBatch {
-		opts = bsd6.Options{BurstSize: -1, GRO: -1, GSO: -1}
-	}
 	hub := bsd6.NewHub()
-	cli := bsd6.NewStack("cli", opts)
-	srv := bsd6.NewStack("srv", opts)
+	cli := bsd6.NewStack("cli", bsd6.Options{})
+	srv := bsd6.NewStack("srv", bsd6.Options{})
 	defer func() {
 		if *flagJSON {
 			results.Snapshots = append(results.Snapshots, cli.Snapshot(), srv.Snapshot())
@@ -785,11 +748,7 @@ func topoTable() {
 	const udpMsg = 1024
 	for _, routers := range []int{1, 2, 4} {
 		n := routers + 2
-		var opts core.Options
-		if *flagNoBatch {
-			opts = core.Options{BurstSize: -1, GRO: -1, GSO: -1}
-		}
-		nw, err := topo.Build(topo.Spec{Kind: topo.Line, N: n, Seed: 1, Stack: opts})
+		nw, err := topo.Build(topo.Spec{Kind: topo.Line, N: n, Seed: 1})
 		if err != nil {
 			die(err)
 		}

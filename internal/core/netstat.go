@@ -140,8 +140,6 @@ func (s *Stack) ProtoStats() string {
 	fmt.Fprintf(&b, "tcp: %d/%d pkts out/in, %d rexmit, %d est, %d accepts, reass v4/v6 %d/%d, policy drops %d, predack %d, preddat %d, delacks %d\n",
 		ts["SndPack"], ts["RcvPack"], ts["SndRexmit"], ts["ConnEstab"], ts["ConnAccepts"],
 		ts["Reass4"], ts["Reass6"], ts["PolicyDrops"], ts["PredAck"], ts["PredDat"], ts["DelAcks"])
-	fmt.Fprintf(&b, "tcp-batch: gro %d coalesced into %d flushes, gso %d supers split to %d frames\n",
-		ts["GROCoalesced"], ts["GROFlushes"], ts["GSOSegs"], ts["GSOSplits"])
 	us := snap.UDP
 	fmt.Fprintf(&b, "udp: %d out, %d in (%d v4->v6 socket), %d bad sums, %d no port, policy drops %d\n",
 		us["OutDatagrams"], us["InDatagrams"], us["InV4ToV6"], us["BadChecksums"], us["InNoPorts"], us["InPolicyDrops"])
@@ -162,8 +160,8 @@ func (s *Stack) ProtoStats() string {
 		fmt.Fprintf(&b, "sa spi=%#x %s %s alg=%s: in %d pkts/%d bytes, out %d pkts/%d bytes, replay drops %d, seq %d\n",
 			sa.SPI, sa.Proto, sa.Dst, alg, sa.InPkts, sa.InBytes, sa.OutPkts, sa.OutBytes, sa.ReplayDrops, sa.SeqOut)
 	}
-	fmt.Fprintf(&b, "netisr: %d workers, burst %d, %d drops, queue depths %v\n",
-		snap.Netisr.Workers, snap.Netisr.Burst, snap.Netisr.Drops, snap.Netisr.Depths)
+	fmt.Fprintf(&b, "netisr: %d workers, %d drops, queue depths %v\n",
+		snap.Netisr.Workers, snap.Netisr.Drops, snap.Netisr.Depths)
 	for _, t := range snap.Tunnels {
 		fmt.Fprintf(&b, "tunnel %s (%s): %s -> %s, mtu %d (+%d encap), %d encapped, %d decapped, %d in errs, %d pmtu updates\n",
 			t.Name, t.Mode, t.Local, t.Remote, t.MTU, t.Overhead,

@@ -32,7 +32,6 @@ type TraceLine struct {
 // NetisrSnapshot captures the input-queue state.
 type NetisrSnapshot struct {
 	Workers int    `json:"workers"`
-	Burst   int    `json:"burst"` // frames drained per worker wakeup
 	Drops   uint64 `json:"drops"`
 	Depths  []int  `json:"depths"`
 }
@@ -142,7 +141,6 @@ func (s *Stack) Snapshot() Snapshot {
 		Key:   stat.SnapshotCounters(&s.Keys.Stats),
 		Netisr: NetisrSnapshot{
 			Workers: len(depths),
-			Burst:   s.burst,
 			Drops:   s.InqDrops.Get(),
 			Depths:  depths,
 		},

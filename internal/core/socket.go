@@ -320,14 +320,12 @@ func (sock *Socket) Accept(timeout time.Duration) (*Socket, error) {
 	if timeout > 0 {
 		deadline = sock.clock().Now().Add(timeout)
 	}
+	cs := &Socket{stack: sock.stack, family: sock.family, typ: SockStream, RqMax: sock.RqMax}
+	cs.cond = sync.NewCond(&cs.mu)
 	for {
-		child := sock.conn.Accept()
-		if child != nil {
-			cs := &Socket{stack: sock.stack, family: sock.family, typ: SockStream, conn: child, RqMax: sock.RqMax}
-			cs.cond = sync.NewCond(&cs.mu)
-			cs.sec = sock.SecurityOpts() // children inherit security levels
-			child.Wakeup = cs.broadcast
-			child.PCB().Socket = cs
+		cs.sec = sock.SecurityOpts() // children inherit security levels
+		if child := sock.conn.Accept(cs.broadcast, cs); child != nil {
+			cs.conn = child
 			return cs, nil
 		}
 		sock.mu.Lock()

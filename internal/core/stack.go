@@ -25,7 +25,6 @@ import (
 	"bsd6/internal/ipv4"
 	"bsd6/internal/ipv6"
 	"bsd6/internal/key"
-	"bsd6/internal/mbuf"
 	"bsd6/internal/netif"
 	"bsd6/internal/pcb"
 	"bsd6/internal/proto"
@@ -71,14 +70,6 @@ type Stack struct {
 	mbufLimit int          // bytes of payload the input queues may hold
 	inqBytes  atomic.Int64 // payload bytes currently queued
 
-	// Batched datapath state: burst is the per-wakeup dequeue cap;
-	// gros holds one receive-coalescing engine per netisr worker (nil
-	// when GRO is disabled) and groIfp the interface of each engine's
-	// pending super-segment.  Only worker w touches gros[w]/groIfp[w].
-	burst  int
-	gros   []*tcp.GRO
-	groIfp []*netif.Interface
-
 	// secActive flips once any socket sets a security level; see the
 	// SocketOpts hook.
 	secActive atomic.Bool
@@ -90,7 +81,7 @@ type Stack struct {
 	ifps   []*netif.Interface
 	stop   chan struct{}
 	wg     sync.WaitGroup
-	closed bool
+	closed atomic.Bool
 
 	tmu    sync.Mutex
 	ttimer []vclock.Timer
@@ -158,25 +149,6 @@ type Options struct {
 	// accumulating unboundedly behind a slow consumer.
 	MbufLimit int
 
-	// Datapath batching knobs.  Same convention as the ceilings above:
-	// 0 selects the default, negative disables the mechanism.  All
-	// three are wire-transparent — captures with batching on and off
-	// are byte-identical; only throughput and counters differ.
-
-	// BurstSize caps the frames a netisr worker drains per wakeup,
-	// dispatching them as one batch and settling the queue accounting
-	// once (default DefaultBurstSize; negative reverts to the classic
-	// one-frame-per-wakeup software interrupt).
-	BurstSize int
-	// GRO bounds the payload bytes receive coalescing may merge into
-	// one TCP super-segment ahead of IP input (default
-	// tcp.DefaultGROMax; negative disables coalescing).
-	GRO int
-	// GSO bounds the super-segment TCP builds for the netif boundary
-	// to split into MSS-sized wire frames (default tcp.DefaultGSOMax;
-	// negative disables, every segment leaves at MSS size).
-	GSO int
-
 	// TunNestLimit bounds tunnel nesting — how many encapsulations
 	// (and decapsulations) one packet may traverse on this node
 	// (default tunnel.DefaultNestLimit; negative selects the hard
@@ -192,7 +164,8 @@ const (
 	DefaultNDCacheMax = 512
 	// DefaultMbufLimit bounds netisr-queued payload bytes (4 MiB).
 	DefaultMbufLimit = 4 << 20
-	// DefaultBurstSize is the frames a netisr worker drains per wakeup.
+	// DefaultBurstSize is the frames a netisr worker drains per wakeup
+	// (DESIGN.md "Burst dequeue" records what it is measured to buy).
 	DefaultBurstSize = 32
 )
 
@@ -295,20 +268,6 @@ func NewStack(name string, opts Options) *Stack {
 	s.UDP.Deliver = deliverDatagram
 	s.UDP.Notify = notifyDatagramErr
 
-	// Batched datapath: burst dequeue, send-side GSO, receive-side GRO.
-	s.burst = limitOpt(opts.BurstSize, DefaultBurstSize)
-	if s.burst < 1 {
-		s.burst = 1
-	}
-	s.TCP.GSOMax = limitOpt(opts.GSO, tcp.DefaultGSOMax)
-	if gmax := limitOpt(opts.GRO, tcp.DefaultGROMax); gmax > 0 {
-		s.gros = make([]*tcp.GRO, opts.NetisrWorkers)
-		s.groIfp = make([]*netif.Interface, opts.NetisrWorkers)
-		for i := range s.gros {
-			s.gros[i] = s.TCP.NewGRO(gmax, i)
-		}
-	}
-
 	// Loopback.
 	s.Lo = netif.NewLoopback(name+"-lo0", 32768)
 	s.Lo.Drops = s.Drops
@@ -335,15 +294,12 @@ func (s *Stack) Clock() vclock.Clock { return s.clock }
 // netisr input queue — a quiescence probe for vclock.Driver.
 func (s *Stack) Pending() int { return int(s.pending.Load()) }
 
-// Close stops the stack's goroutines.
+// Close stops the stack's goroutines and frees the frames still
+// queued for them.
 func (s *Stack) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	s.closed = true
-	s.mu.Unlock()
 	s.tmu.Lock()
 	for _, tm := range s.ttimer {
 		tm.Stop()
@@ -351,6 +307,20 @@ func (s *Stack) Close() {
 	s.tmu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
+	// Every frame still charged to pending is queued, or is about to
+	// be by an enqueue that read closed before it was set; drain until
+	// none is left.
+	for s.pending.Load() > 0 {
+		for _, q := range s.inqs {
+			for len(q) > 0 {
+				it := <-q
+				it.fr.Payload.Free()
+				s.inqBytes.Add(-int64(it.n))
+				s.pending.Add(-1)
+			}
+		}
+		runtime.Gosched()
+	}
 }
 
 // enqueue is the driver-side input hook: non-blocking, dropping on
@@ -361,9 +331,20 @@ func (s *Stack) Close() {
 // large frames from holding megabytes of slab memory hostage.  Either
 // way a refused frame is freed here — enqueue is its terminal
 // consumer, so overload backpressures the pool instead of leaking.
+// A closed stack frees every frame it is handed.  pending is raised
+// before closed is read, and Close sets closed before it reads
+// pending, so either this call sees closed or Close waits for the
+// frame and frees it.
 func (s *Stack) enqueue(ifp *netif.Interface, fr netif.Frame) {
+	s.pending.Add(1)
+	if s.closed.Load() {
+		s.pending.Add(-1)
+		fr.Payload.Free()
+		return
+	}
 	n := fr.Payload.Len()
 	if s.mbufLimit > 0 && s.inqBytes.Load()+int64(n) > int64(s.mbufLimit) {
+		s.pending.Add(-1)
 		s.MbufDrops.Inc()
 		s.Drops.DropNote(stat.RMbufLimit, ifp.Name)
 		fr.Payload.Free()
@@ -373,7 +354,6 @@ func (s *Stack) enqueue(ifp *netif.Interface, fr netif.Frame) {
 	if len(s.inqs) > 1 {
 		q = s.inqs[flowHash(fr)%uint32(len(s.inqs))]
 	}
-	s.pending.Add(1)
 	s.inqBytes.Add(int64(n))
 	select {
 	case q <- inputItem{ifp, fr, n}:
@@ -433,16 +413,15 @@ func macHash(mac inet.LinkAddr) uint32 {
 	return h
 }
 
-// netisr drains one input queue.  Each wakeup drains up to burst
-// queued frames and dispatches them as one batch — amortizing the
-// channel receive, the queue accounting (one inqBytes/pending settle
-// per batch instead of per frame) and feeding the worker's GRO engine
-// runs of consecutive same-flow frames to coalesce.  pending stays
-// raised until the whole batch is dispatched, so quiescence probes
-// never observe a half-processed burst.
+// netisr drains one input queue.  Each wakeup drains up to
+// DefaultBurstSize queued frames and dispatches them in order,
+// settling the queue accounting (inqBytes, pending) once per burst
+// instead of per frame.  pending stays raised until the whole burst is
+// dispatched, so quiescence probes never observe a half-processed
+// burst.
 func (s *Stack) netisr(w int, q chan inputItem) {
 	defer s.wg.Done()
-	burst := make([]inputItem, 0, s.burst)
+	burst := make([]inputItem, 0, DefaultBurstSize)
 	for {
 		select {
 		case <-s.stop:
@@ -450,7 +429,7 @@ func (s *Stack) netisr(w int, q chan inputItem) {
 		case it := <-q:
 			burst = append(burst[:0], it)
 		fill:
-			for len(burst) < s.burst {
+			for len(burst) < DefaultBurstSize {
 				select {
 				case it := <-q:
 					burst = append(burst, it)
@@ -458,88 +437,15 @@ func (s *Stack) netisr(w int, q chan inputItem) {
 					break fill
 				}
 			}
-			s.dispatchBurst(w, burst)
 			var bytes int64
 			for i := range burst {
 				bytes += int64(burst[i].n)
+				burst[i].fr.Payload.Hdr().Worker = w
+				s.dispatch(burst[i].ifp, burst[i].fr)
 			}
 			s.inqBytes.Add(-bytes)
 			s.pending.Add(-int64(len(burst)))
 		}
-	}
-}
-
-// dispatchBurst feeds one drained batch through the worker's GRO
-// engine (when enabled) and on to the protocol input routines.  Order
-// is preserved: a frame the engine declines first forces out whatever
-// super-segment was pending, and the batch ends with a flush, so
-// coalescing state never outlives the burst.
-func (s *Stack) dispatchBurst(w int, burst []inputItem) {
-	if s.gros == nil || len(burst) == 1 {
-		for i := range burst {
-			burst[i].fr.Payload.Hdr().Worker = w
-			s.dispatch(burst[i].ifp, burst[i].fr)
-		}
-		return
-	}
-	gro := s.gros[w]
-	for i := range burst {
-		it := &burst[i]
-		pkt := it.fr.Payload
-		pkt.Hdr().Worker = w
-		var v4 bool
-		switch it.fr.EtherType {
-		case netif.EtherTypeIPv4:
-			v4 = true
-		case netif.EtherTypeIPv6:
-		default:
-			// Non-IP (ARP): flush ahead of it to preserve order.
-			s.groFlush(w)
-			s.dispatch(it.ifp, it.fr)
-			continue
-		}
-		if s.groIfp[w] != nil && s.groIfp[w] != it.ifp {
-			// The pending super-segment belongs to another interface;
-			// deliver it there before this frame can be considered.
-			s.groFlush(w)
-		}
-		flushed, pass := gro.Push(pkt, v4)
-		if flushed != nil {
-			s.deliverIP(s.groIfp[w], flushed)
-			s.groIfp[w] = nil
-		}
-		if pass != nil {
-			s.dispatch(it.ifp, it.fr)
-		} else {
-			s.groIfp[w] = it.ifp
-		}
-	}
-	s.groFlush(w)
-}
-
-// groFlush forces out worker w's pending super-segment, if any.
-func (s *Stack) groFlush(w int) {
-	if s.gros == nil {
-		return
-	}
-	if pkt := s.gros[w].Flush(); pkt != nil {
-		s.deliverIP(s.groIfp[w], pkt)
-	}
-	s.groIfp[w] = nil
-}
-
-// deliverIP hands a (possibly coalesced) IP packet to the right IP
-// input by version nibble.
-func (s *Stack) deliverIP(ifp *netif.Interface, pkt *mbuf.Mbuf) {
-	b := pkt.PullUp(1)
-	if b == nil {
-		pkt.Free()
-		return
-	}
-	if b[0]>>4 == 4 {
-		s.V4.Input(ifp, pkt)
-	} else {
-		s.V6.Input(ifp, pkt)
 	}
 }
 
@@ -589,10 +495,7 @@ func (s *Stack) every(d time.Duration, fn func(now time.Time)) {
 	s.ttimer = append(s.ttimer, nil)
 	var arm func()
 	arm = func() {
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
+		if s.closed.Load() {
 			return
 		}
 		fn(s.clock.Now())
@@ -729,9 +632,8 @@ func (s *Stack) DefaultRoute4(gw inet.IP4, ifName string) {
 // AddTunnel configures an encapsulation tunnel (6in4 / 4in6 / 6in6)
 // and wires its device into the stack: decapsulated packets re-enter
 // through the netisr input queues, where the flow hash steers them by
-// their *inner* tuple — decap re-steering for the per-worker GRO
-// engines.  Routes pointed at the returned tunnel's interface name
-// send traffic through it.
+// their *inner* tuple.  Routes pointed at the returned tunnel's
+// interface name send traffic through it.
 func (s *Stack) AddTunnel(cfg tunnel.Config) (*tunnel.Tunnel, error) {
 	t, err := s.Tun.Add(cfg)
 	if err != nil {
@@ -799,5 +701,3 @@ func ctlError(kind proto.CtlType) error {
 		return ErrHostUnreach
 	}
 }
-
-var _ = mbuf.Mbuf{} // keep the import set stable for future use

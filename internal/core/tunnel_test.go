@@ -3,8 +3,7 @@ package core_test
 // Full-stack tests for the tunnel devices: dual-stack islands joined
 // across a core of the other protocol, TCP transfers riding the
 // encap/decap re-entry paths, nested PMTU discovery against a narrow
-// middle, the GSO flush at tunnel netifs held to wire equivalence,
-// and tunnel-mode IPsec composing over the same re-entry.
+// middle, and tunnel-mode IPsec composing over the same re-entry.
 
 import (
 	"bytes"
@@ -19,7 +18,6 @@ import (
 	"bsd6/internal/ipsec"
 	"bsd6/internal/ipv4"
 	"bsd6/internal/key"
-	"bsd6/internal/mbuf"
 	"bsd6/internal/netif"
 	"bsd6/internal/testnet"
 	"bsd6/internal/tunnel"
@@ -303,146 +301,6 @@ func TestTunnelNestedPTBHostileLink(t *testing.T) {
 
 	if got, want := w.tunA.Ifp.MTU(), 1400-ipv4.HeaderLen; got != want {
 		t.Fatalf("tunnel MTU %d after hostile transfer, want %d", got, want)
-	}
-}
-
-// runTunnelStream is runBatchStream's topology moved onto a 6in4
-// tunnel: the same quarter-megabyte stream, but every data frame
-// crosses the hub encapsulated.  Returns the full wire trace and the
-// client/server snapshots.
-func runTunnelStream(t *testing.T, opts core.Options, faults netif.Faults, seed int64, horizon time.Duration) ([]string, core.Snapshot, core.Snapshot) {
-	t.Helper()
-	e := newEnv(t)
-	hub := e.hub()
-
-	var mu sync.Mutex
-	var trace []string
-	hub.Capture = func(fr netif.Frame) {
-		line := fmt.Sprintf("%s>%s %04x %x", fr.Src, fr.Dst, fr.EtherType, fr.Payload.Bytes())
-		mu.Lock()
-		trace = append(trace, line)
-		mu.Unlock()
-	}
-	hub.SetFaults(faults)
-	hub.SetSeed(seed)
-
-	opts.Clock = e.clock
-	mk := func(name string) *core.Stack {
-		s := core.NewStack(name, opts)
-		t.Cleanup(s.Close)
-		e.probes = append(e.probes, s.Pending)
-		return s
-	}
-	cli := mk("cli")
-	srv := mk("srv")
-	cIf := cli.AttachLink(hub, testnet.MacA, 1500)
-	sIf := srv.AttachLink(hub, testnet.MacB, 1500)
-	v4C, v4S := inet.IP4{10, 0, 0, 1}, inet.IP4{10, 0, 0, 2}
-	cli.ConfigureV4(cIf, v4C, 24)
-	srv.ConfigureV4(sIf, v4S, 24)
-	tunC, err := cli.AddTunnel(tunnel.Config{Name: "tun0", Mode: tunnel.Mode6in4, Local4: v4C, Remote4: v4S})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tunS, err := srv.AddTunnel(tunnel.Config{Name: "tun0", Mode: tunnel.Mode6in4, Local4: v4S, Remote4: v4C})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c6, s6 := testnet.IP6(t, "fd00::c"), testnet.IP6(t, "fd00::5")
-	cli.ConfigureV6(tunC.Ifp, c6, 64)
-	srv.ConfigureV6(tunS.Ifp, s6, 64)
-
-	l, err := srv.NewSocket(inet.AFInet6, core.SockStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetBuffers(1<<20, 1<<20)
-	if err := l.Bind(core.Sockaddr6{Family: inet.AFInet6, Port: 9009}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Listen(1); err != nil {
-		t.Fatal(err)
-	}
-	c, err := cli.NewSocket(inet.AFInet6, core.SockStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetBuffers(1<<20, 1<<20)
-
-	quiet := make(chan struct{})
-	e.clock.AfterFunc(10*time.Second, func() { close(quiet) })
-	end := make(chan struct{})
-	e.clock.AfterFunc(horizon, func() { close(end) })
-	e.start()
-
-	body := batchStreamBody()
-	got := make(chan []byte, 1)
-	srvErr := make(chan error, 1)
-	go func() {
-		s, err := l.Accept(5 * time.Minute)
-		if err != nil {
-			srvErr <- fmt.Errorf("accept: %w", err)
-			return
-		}
-		var rcvd []byte
-		for len(rcvd) < batchStreamTotal {
-			chunk, err := s.Recv(1<<16, 5*time.Minute)
-			if err != nil {
-				srvErr <- fmt.Errorf("recv at %d: %w", len(rcvd), err)
-				return
-			}
-			rcvd = append(rcvd, chunk...)
-		}
-		got <- rcvd
-	}()
-
-	<-quiet
-	if err := c.Connect(core.Addr6(s6, 9009), time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Send(body, 5*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-srvErr:
-		t.Fatal(err)
-	case rcvd := <-got:
-		if !bytes.Equal(rcvd, body) {
-			t.Fatalf("stream corrupted: %d bytes received", len(rcvd))
-		}
-	}
-	<-end
-
-	mu.Lock()
-	out := append([]string(nil), trace...)
-	mu.Unlock()
-	return out, cli.Snapshot(), srv.Snapshot()
-}
-
-// TestGSOTunnelWireEquivalence pins the GSO.PathMTU tunnel bugfix: a
-// batched stack whose supers are split at the tunnel boundary (and
-// whose descriptors are flushed before encapsulation) must put
-// byte-identical frames on the v4 core as an unbatched stack.  Were a
-// super's descriptor to survive into the outer path, the splitter
-// would cut encapsulated packets at inner-derived offsets and the
-// traces would diverge immediately.
-func TestGSOTunnelWireEquivalence(t *testing.T) {
-	mbuf.SetPoison(true)
-	defer mbuf.SetPoison(false)
-
-	lockstep := netif.Faults{Latency: 2 * time.Millisecond}
-	off, _, _ := runTunnelStream(t,
-		core.Options{NetisrWorkers: 4, BurstSize: -1, GRO: -1, GSO: -1},
-		lockstep, 1, 30*time.Second)
-	on, cliSnap, _ := runTunnelStream(t,
-		core.Options{NetisrWorkers: 4},
-		lockstep, 1, 30*time.Second)
-	diffTraces(t, "tunnel path", off, on)
-
-	// The equivalence must have been earned: the batched sender really
-	// built supers for the tunnel boundary to split and flush.
-	if n := cliSnap.TCP["GSOSegs"]; n == 0 {
-		t.Error("batched sender built no GSO super-segments over the tunnel")
 	}
 }
 

@@ -71,21 +71,6 @@ func Sum(initial uint32, b []byte) uint32 {
 	return fold64(sum)
 }
 
-// sumSlow is the original byte-pair reference implementation, kept as
-// the oracle for the differential tests and fuzzer: any divergence
-// between Sum and sumSlow is a bug in the wide-word engine.
-func sumSlow(initial uint32, b []byte) uint32 {
-	sum := initial
-	n := len(b) &^ 1
-	for i := 0; i < n; i += 2 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
-	}
-	if len(b)&1 != 0 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	return sum
-}
-
 // SumCopy copies src into dst while accumulating the ones-complement
 // sum of the copied bytes — the BSD in_cksum-with-copy fusion, so an
 // output path that must both move a payload into the wire buffer and

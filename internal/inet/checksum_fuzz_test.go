@@ -190,3 +190,18 @@ func TestUpdateChecksumMatchesRecompute(t *testing.T) {
 		tcp[16], tcp[17] = byte(ck>>8), byte(ck)
 	}
 }
+
+// sumSlow is the original byte-pair reference implementation, kept as
+// the oracle for the differential tests and fuzzer: any divergence
+// between Sum and sumSlow is a bug in the wide-word engine.
+func sumSlow(initial uint32, b []byte) uint32 {
+	sum := initial
+	n := len(b) &^ 1
+	for i := 0; i < n; i += 2 {
+		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	}
+	if len(b)&1 != 0 {
+		sum += uint32(b[len(b)-1]) << 8
+	}
+	return sum
+}

@@ -237,12 +237,11 @@ func openESP(sa *key.SA, b []byte) ([]byte, uint8, error) {
 //
 // Chain-aware output path.  The builders above take one contiguous
 // []byte — fine for tests and the input rebuild, but the output path
-// hands us an mbuf chain (a GSO-sized transport burst is several
-// pooled segments).  These gather the chain ONCE, directly into the
-// pooled destination buffer at its final offset, and run the cipher in
-// place there: one copy total, no intermediate flatten, and the
-// result keeps slab headroom so the IPv6 header prepend downstream
-// stays in place too.
+// hands us an mbuf, which may be a chain of pooled segments.  These
+// gather the chain ONCE, directly into the pooled destination buffer
+// at its final offset, and run the cipher in place there: one copy
+// total, no intermediate flatten, and the result keeps slab headroom
+// so the IPv6 header prepend downstream stays in place too.
 //
 
 // wrapESPChain wraps payload's content (prefixed by prefix, which

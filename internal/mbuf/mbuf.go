@@ -36,31 +36,7 @@ const (
 	MDecrypted             // packet passed ESP decryption processing
 	MLoop                  // looped back (sent and received on loopback)
 	MFrag                  // packet is a fragment of a larger datagram
-	MSumOK                 // transport checksum already verified (GRO)
 )
-
-// GSO is the segmentation-offload descriptor a transport attaches to
-// a super-segment: the link boundary splits the packet into SegSize
-// payload chunks behind a copy of the leading HdrLen header bytes,
-// patching sequence numbers and checksums per frame (the software
-// analog of NIC TSO).  Sums caches the folded (16-bit, not yet
-// complemented) ones-complement sum of each payload chunk, computed
-// for free while the transport built the packet, so the splitter
-// folds pseudo-header + header + chunk without re-reading the
-// payload.  The 16-bit partials add into a 32-bit accumulator without
-// overflow however many chunks a frame combines.
-type GSO struct {
-	SegSize int      // payload bytes per wire frame (the connection MSS)
-	HdrLen  int      // leading bytes replicated onto every frame
-	Sums    []uint32 // per-chunk folded payload sums, in order
-	// PathMTU is the route MTU the IP output path resolved — the
-	// split threshold.  The interface MTU alone is not enough: a
-	// super-segment smaller than the first hop can still exceed a
-	// narrower link downstream, which the unbatched sender respects
-	// through its PMTU-derived MSS.  0 means not resolved (the link
-	// boundary falls back to the interface MTU).
-	PathMTU int
-}
 
 // PktHdr is the per-packet header present on the first mbuf of a chain
 // (BSD's m_pkthdr).
@@ -86,16 +62,6 @@ type PktHdr struct {
 	// Encapsulation Limit" in spirit) so a tunnel routed into itself
 	// terminates deterministically instead of recursing.
 	Encap uint8
-
-	// GSO, when non-nil, marks a transport-built super-segment to be
-	// split into SegSize frames at the link boundary.
-	GSO *GSO
-
-	// GRO, when non-nil, carries receive-coalescing metadata: the
-	// transport-defined record of the original segment boundaries
-	// merged into this super-segment, so transport input can replay
-	// per-segment effects (ACK cadence, window history) exactly.
-	GRO any
 }
 
 // segment is one buffer in the chain (an mbuf without a packet header).
@@ -236,23 +202,6 @@ func (m *Mbuf) AppendNoCopy(data []byte) {
 	m.hdr.Len += len(data)
 }
 
-// Cat appends the segments of n to m, transferring ownership. n must not
-// be used afterwards. Packet-header flags of n are ORed into m.
-func (m *Mbuf) Cat(n *Mbuf) {
-	if n == nil || n.head == nil {
-		return
-	}
-	if m.tail == nil {
-		m.head, m.tail = n.head, n.tail
-	} else {
-		m.tail.next = n.head
-		m.tail = n.tail
-	}
-	m.hdr.Len += n.hdr.Len
-	m.hdr.Flags |= n.hdr.Flags
-	n.head, n.tail, n.hdr.Len = nil, nil, 0
-}
-
 // PullUp guarantees that the first n bytes of the packet are contiguous
 // in the first segment and returns them. It returns nil if the packet is
 // shorter than n. This is BSD's m_pullup: protocol input routines call
@@ -308,9 +257,7 @@ func (m *Mbuf) Bytes() []byte {
 
 // SegmentViews returns a view of each non-empty chain segment's bytes,
 // in stream order, without copying or restructuring the chain.  The
-// views alias the packet and die with it.  Chain-aware consumers (the
-// GRO delivery path) use this to walk a coalesced train segment by
-// segment instead of linearizing it.
+// views alias the packet and die with it.
 func (m *Mbuf) SegmentViews() [][]byte {
 	var out [][]byte
 	for s := m.head; s != nil; s = s.next {

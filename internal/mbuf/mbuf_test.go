@@ -220,29 +220,6 @@ func TestSplitCopiesHeaderFlags(t *testing.T) {
 	}
 }
 
-func TestCat(t *testing.T) {
-	a := chainOf([]byte("ab"))
-	b := chainOf([]byte("cd"), []byte("ef"))
-	b.Hdr().Flags = MAuthentic
-	a.Cat(b)
-	if string(a.CopyBytes()) != "abcdef" || a.Len() != 6 {
-		t.Fatalf("cat: %q len=%d", a.CopyBytes(), a.Len())
-	}
-	if a.Hdr().Flags&MAuthentic == 0 {
-		t.Fatal("cat must OR flags")
-	}
-	empty := &Mbuf{}
-	empty.Cat(chainOf([]byte("x")))
-	if string(empty.CopyBytes()) != "x" {
-		t.Fatal("cat into empty failed")
-	}
-	empty.Cat(nil)
-	empty.Cat(&Mbuf{})
-	if empty.Len() != 1 {
-		t.Fatal("cat of empty changed length")
-	}
-}
-
 func TestCopyDeep(t *testing.T) {
 	m := chainOf([]byte("ab"), []byte("cd"))
 	m.Hdr().Flags = MDecrypted
@@ -287,8 +264,8 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-// Property: for any data and any sequence of chunk boundaries, Split
-// followed by Cat is the identity on contents.
+// Property: for any data and any split offset, the head and tail that
+// Split leaves concatenate back to the original contents.
 func TestQuickSplitCatIdentity(t *testing.T) {
 	f := func(data []byte, at uint16) bool {
 		m := New(data)
@@ -297,8 +274,8 @@ func TestQuickSplitCatIdentity(t *testing.T) {
 			off = int(at) % (len(data) + 1)
 		}
 		tail := m.Split(off)
-		m.Cat(tail)
-		return bytes.Equal(m.CopyBytes(), data) && m.Len() == len(data)
+		joined := append(m.CopyBytes(), tail.CopyBytes()...)
+		return bytes.Equal(joined, data) && m.Len() == off && tail.Len() == len(data)-off
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -24,9 +24,8 @@
 //     Bind conflict scan and the ephemeral-port allocator O(1) per
 //     candidate instead of O(pcbs);
 //   - the flat registry of all PCBs, retained for Notify/All and as the
-//     substrate of lookupRef, the original linear-scan in_pcblookup
-//     kept as the oracle the differential and fuzz tests replay
-//     against.
+//     substrate of the original linear-scan in_pcblookup that the
+//     differential and fuzz tests keep as their oracle.
 package pcb
 
 import (
@@ -560,54 +559,6 @@ func (t *Table) Lookup(laddr inet.IP6, lport uint16, faddr inet.IP6, fport uint1
 		}
 		if score > bestScore {
 			best, bestScore = p, score
-		}
-	}
-	return best
-}
-
-// lookupRef is the original linear-scan in_pcblookup, retained verbatim
-// as the reference model for the hash demux. It returns every
-// maximum-score candidate: the old map-iteration code picked an
-// arbitrary one, so the production Lookup is correct iff its winner is
-// a member of this set (nil result ↔ empty set). The differential and
-// fuzz tests replay random operation sequences through both paths.
-func (t *Table) lookupRef(laddr inet.IP6, lport uint16, faddr inet.IP6, fport uint16, v4 bool) []*PCB {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var best []*PCB
-	bestScore := -1
-	for p := range t.pcbs {
-		if p.LPort != lport {
-			continue
-		}
-		// Family/traffic compatibility.
-		if v4 {
-			if p.Family == inet.AFInet6 && p.Flags&FlagV6Only != 0 {
-				continue
-			}
-		} else {
-			if p.Family == inet.AFInet {
-				continue
-			}
-		}
-		score := 0
-		if !p.FAddr.IsUnspecified() || p.FPort != 0 {
-			if p.FAddr != faddr || p.FPort != fport {
-				continue
-			}
-			score += 2
-		}
-		if !p.LAddr.IsUnspecified() {
-			if p.LAddr != laddr {
-				continue
-			}
-			score++
-		}
-		switch {
-		case score > bestScore:
-			best, bestScore = append(best[:0], p), score
-		case score == bestScore:
-			best = append(best, p)
 		}
 	}
 	return best

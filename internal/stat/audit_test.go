@@ -110,15 +110,12 @@ func TestEveryTCPCounterHasASource(t *testing.T) {
 		t.Fatalf("parsed only %d counter fields; struct regex out of date", len(fields))
 	}
 	// The must-list pins the counters whose loss a refactor would most
-	// plausibly hide: the header-prediction shortcut, the stateless
-	// connection-demux machinery (SYN cookies, compressed TIME_WAIT)
-	// and the batched-datapath engines (GRO/GSO), whose silent death
-	// would read as "batching never engaged".
+	// plausibly hide: the header-prediction shortcut and the stateless
+	// connection-demux machinery (SYN cookies, compressed TIME_WAIT).
 	for _, must := range []string{
 		"PredAck", "PredDat", "DelAcks",
 		"SynCookiesSent", "SynCookiesValidated", "SynCookiesFailed",
 		"TimeWaitRecycled", "TimeWaitOverflow",
-		"GROCoalesced", "GROFlushes", "GSOSegs", "GSOSplits",
 	} {
 		found := false
 		for _, f := range fields {

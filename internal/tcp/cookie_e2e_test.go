@@ -114,7 +114,7 @@ func TestSynCookieFloodSoak(t *testing.T) {
 	if got := b.tcp.Stats.SynCookiesValidated.Get(); got != 1 {
 		t.Fatalf("forged ACK validated: SynCookiesValidated = %d", got)
 	}
-	if l.Accept() != nil {
+	if l.Accept(nil, nil) != nil {
 		t.Fatal("forged ACK produced an accepted connection")
 	}
 }

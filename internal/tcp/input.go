@@ -21,40 +21,20 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 	// the pooled slab goes back to its pool on return.
 	defer pkt.Free()
 	w := pkt.Hdr().Worker
-	// A multi-segment GRO train stays chained: the header lives in the
-	// first chain segment and the payloads are delivered chain-aware by
-	// segInputGRO, so a 64KB train is never linearized (an allocation,
-	// a zeroing and a full copy per train on the old path).
-	g, _ := pkt.Hdr().GRO.(*groMeta)
-	chained := g != nil && len(g.segs) > 1 && pkt.Hdr().Flags&mbuf.MSumOK != 0
-	var b []byte
-	if chained {
-		b = pkt.PullUp(HeaderLen)
-		if b == nil {
+	b := pkt.Bytes()
+	if meta.Family == inet.AFInet6 {
+		ovl := ipv6Ovly{src: meta.Src6, dst: meta.Dst6, nh: proto.TCP}
+		if inet.TransportChecksum6(ovl.src, ovl.dst, ovl.nh, b) != 0 {
 			t.Stats.RcvBadSum.Inc()
+			t.Drops.DropPkt(stat.RTCPBadSum, b)
 			return
 		}
 	} else {
-		b = pkt.Bytes()
-	}
-	// A GRO-coalesced super-segment arrives with MSumOK: the engine
-	// verified each absorbed segment's checksum at merge time, and the
-	// coalesced header's checksum field is deliberately stale.
-	if pkt.Hdr().Flags&mbuf.MSumOK == 0 {
-		if meta.Family == inet.AFInet6 {
-			ovl := ipv6Ovly{src: meta.Src6, dst: meta.Dst6, nh: proto.TCP}
-			if inet.TransportChecksum6(ovl.src, ovl.dst, ovl.nh, b) != 0 {
-				t.Stats.RcvBadSum.Inc()
-				t.Drops.DropPkt(stat.RTCPBadSum, b)
-				return
-			}
-		} else {
-			ovl := ipOvly{src: meta.Src4, dst: meta.Dst4, proto: proto.TCP, length: uint16(len(b))}
-			if inet.TransportChecksum4(ovl.src, ovl.dst, ovl.proto, b[:ovl.length]) != 0 {
-				t.Stats.RcvBadSum.Inc()
-				t.Drops.DropPkt(stat.RTCPBadSum, b)
-				return
-			}
+		ovl := ipOvly{src: meta.Src4, dst: meta.Dst4, proto: proto.TCP, length: uint16(len(b))}
+		if inet.TransportChecksum4(ovl.src, ovl.dst, ovl.proto, b[:ovl.length]) != 0 {
+			t.Stats.RcvBadSum.Inc()
+			t.Drops.DropPkt(stat.RTCPBadSum, b)
+			return
 		}
 	}
 	// th points at the TCP header regardless of which IP carried it —
@@ -112,106 +92,11 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 		t.mu.Unlock()
 		return
 	}
-	nsegs := 1
-	if g != nil && len(g.segs) > 1 {
-		nsegs = len(g.segs)
-	}
-	t.Stats.RcvPack.Add(w, uint64(nsegs))
+	t.Stats.RcvPack.Add(w, 1)
 	t.Stats.RcvByte.Add(w, uint64(tlen))
-	if nsegs > 1 {
-		c.segInputGRO(th, pkt, g, meta, src, dst, w)
-	} else {
-		c.segInput(th, data, meta, src, dst, w)
-	}
+	c.segInput(th, data, meta, src, dst, w)
 	t.mu.Unlock()
 	t.flush()
-}
-
-// segInputGRO feeds a GRO super-segment to the state machine.  The
-// common case — established connection, header prediction hits, every
-// merged segment carried the same acceptable ACK — evaluates the VJ
-// predicate once for the whole train and then replays the per-segment
-// receive effects (rcvNxt advance, the every-other-segment delayed-ACK
-// cadence, output scheduling) boundary by boundary, so the wire is
-// byte-identical to unbatched delivery.  Anything short of that
-// reconstructs each original segment from the recorded boundaries and
-// replays it through segInput verbatim.  t.mu held.
-func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.Meta, src, dst inet.IP6, w int) {
-	t := c.t
-	tlen := pkt.Len() - HeaderLen
-	// Strip the TCP header; each remaining chain segment is one merged
-	// payload, one-to-one with the recorded boundaries, so delivery
-	// walks the chain without ever linearizing the train.  A train that
-	// was flattened on its way here (tests feed some) falls back to one
-	// contiguous view.
-	pkt.Adj(HeaderLen)
-	segs := pkt.SegmentViews()
-	aligned := len(segs) == len(g.segs)
-	if aligned {
-		for i, s := range g.segs {
-			if len(segs[i]) != s.len {
-				aligned = false
-				break
-			}
-		}
-	}
-	var flat []byte
-	if !aligned {
-		flat = pkt.Bytes()
-	}
-	seg := func(i, off int) []byte {
-		if aligned {
-			return segs[i]
-		}
-		return flat[off : off+g.segs[i].len]
-	}
-
-	fast := t.Predict && c.state == StateEstablished &&
-		th.Seq == c.rcvNxt && th.Wnd != 0 && int(th.Wnd) == c.sndWnd &&
-		c.sndNxt == c.sndMax &&
-		len(c.reassQ) == 0 && tlen <= c.rcvSpace()
-	if fast {
-		// Every merged segment must carry the ACK prediction already
-		// validated for the head (no new data acknowledged), or the
-		// later segments' ACK processing would differ from replay.
-		for _, s := range g.segs {
-			if s.ack != c.sndUna {
-				fast = false
-				break
-			}
-		}
-	}
-	if fast {
-		t.Stats.PredDat.Add(w, uint64(len(g.segs)))
-		off := 0
-		for i, s := range g.segs {
-			c.rcvNxt += uint32(s.len)
-			c.rcvBuf = sbappend(&c.rcvArr, c.rcvBuf, seg(i, off), c.RcvBufMax)
-			off += s.len
-			if c.delack {
-				c.needAck = true
-			} else {
-				c.delack = true
-			}
-			c.wakeupLocked()
-			c.output()
-		}
-		return
-	}
-	// Slow path: replay the original segments one by one.  Each gets a
-	// private header copy — segInput mutates Seq/Flags while trimming.
-	off, seq := 0, th.Seq
-	for i, s := range g.segs {
-		sh := *th
-		sh.Seq = seq
-		sh.Ack = s.ack
-		c.segInput(&sh, seg(i, off), meta, src, dst, w)
-		off += s.len
-		seq += uint32(s.len)
-		if c.state == StateClosed {
-			return
-		}
-	}
 }
 
 // segInput runs the state machine for one trimmed segment. w indexes

@@ -100,30 +100,12 @@ type Stats struct {
 	SynCookiesFailed    stat.Counter // listener ACKs that failed cookie validation
 	TimeWaitRecycled    stat.Counter // 2MSL records released early by a fresh SYN or connect
 	TimeWaitOverflow    stat.Counter // 2MSL records evicted by the TimeWaitMax cap
-
-	GROCoalesced stat.Sharded // received segments absorbed into a super-segment
-	GROFlushes   stat.Sharded // coalesced super-segments handed to tcp_input
-	GSOSegs      stat.Counter // super-segments built by tcp_output
-	GSOSplits    stat.Counter // wire frames those super-segments cut into
 }
 
 // DefaultSynBacklog is the default cap on embryonic (SYN_RCVD)
 // connections per listener — BSD's somaxconn-style bound, applied to
 // the half-open stage a SYN flood inflates.
 const DefaultSynBacklog = 128
-
-// Batched-datapath defaults.  Both are payload-byte ceilings chosen
-// so the super-segment plus its 20-byte TCP header (and for GRO the
-// worst-case 20-byte IPv4 header too) stays inside the 65535-byte IP
-// payload field — and, with the IP header and pool headroom, inside
-// the largest mbuf slab class.
-const (
-	// DefaultGSOMax caps the payload of a transmit super-segment.
-	DefaultGSOMax = 65515
-	// DefaultGROMax caps the coalesced payload of a receive
-	// super-segment.
-	DefaultGROMax = 65495
-)
 
 // TCP is the TCP protocol instance of one stack.
 type TCP struct {
@@ -183,19 +165,6 @@ type TCP struct {
 	// byte-for-byte.
 	Predict bool
 
-	// GSOMax, when larger than a connection's MSS, lets tcp_output
-	// build one super-segment of up to GSOMax payload bytes per send
-	// opportunity instead of MSS-sized segments; the link boundary
-	// (netif) splits it back into MSS wire frames with incremental
-	// header patching, so header construction, route validation and
-	// outbox handling run once per burst.  The effective cap is
-	// rounded down to a multiple of the MSS, which keeps the split
-	// frame sequence byte-identical to the unbatched one.  Applied to
-	// IPv6 sessions without security wrapping (the splitter cannot
-	// cut an encrypted payload, and IPv4 would need per-frame IP-ID
-	// allocation).  0 disables; New sets DefaultGSOMax.
-	GSOMax int
-
 	Stats Stats
 
 	iss   uint32
@@ -236,7 +205,7 @@ type outSeg struct {
 // New creates the TCP instance and registers it with both IP layers.
 func New(v4l *ipv4.Layer, v6l *ipv6.Layer) *TCP {
 	t := &TCP{Table: pcb.NewTable(), v4: v4l, v6: v6l, conns: make(map[*Conn]struct{}),
-		Predict: true, GSOMax: DefaultGSOMax}
+		Predict: true}
 	t.cookieSeed = newCookieSeed()
 	if v4l != nil {
 		v4l.Register(proto.TCP, t.input, t.ctlInput)
@@ -417,7 +386,10 @@ func (c *Conn) Listen(backlog int) error {
 }
 
 // Accept dequeues an established child connection, or returns nil.
-func (c *Conn) Accept() *Conn {
+// It installs wakeup as the child's Wakeup and socket as its PCB's
+// socket back pointer under the stack lock, so segment input for the
+// child, which reads both under that lock, never races the handoff.
+func (c *Conn) Accept(wakeup func(), socket any) *Conn {
 	c.t.mu.Lock()
 	defer c.t.mu.Unlock()
 	if len(c.acceptQ) == 0 {
@@ -425,6 +397,8 @@ func (c *Conn) Accept() *Conn {
 	}
 	child := c.acceptQ[0]
 	c.acceptQ = c.acceptQ[1:]
+	child.Wakeup = wakeup
+	child.pcb.Socket = socket
 	return child
 }
 

@@ -68,7 +68,7 @@ func (s *tsim) acceptOne(l *tcp.Conn) *tcp.Conn {
 	s.t.Helper()
 	var child *tcp.Conn
 	s.WaitFor(s.t, "accept", func() bool {
-		child = l.Accept()
+		child = l.Accept(nil, nil)
 		return child != nil
 	})
 	return child
@@ -529,7 +529,7 @@ func TestListenBacklogOverflow(t *testing.T) {
 	// At least the backlog's worth establish; accept drains them.
 	got := 0
 	for i := 0; i < 16 && got < 2; i++ {
-		if l.Accept() != nil {
+		if l.Accept(nil, nil) != nil {
 			got++
 		} else if !s.Clock.Step() {
 			break

@@ -8,9 +8,9 @@
 // like any link, and the forwarding path's MTU checks read its MTU.
 // The device's MTU is the *inner* budget — the underlying path MTU
 // minus the encapsulation overhead — so TCP MSS derivation, source
-// fragmentation, GSO sizing, and the forwarding Packet Too Big checks
-// all produce correctly-sized inner packets with no tunnel-specific
-// arithmetic anywhere in the IP layers.
+// fragmentation, and the forwarding Packet Too Big checks all produce
+// correctly-sized inner packets with no tunnel-specific arithmetic
+// anywhere in the IP layers.
 //
 // Encapsulation prepends the outer header in place (the mbuf slab
 // headroom is sized for a full nested stack, see mbuf.Headroom) by
@@ -286,10 +286,6 @@ func (t *Tunnel) encap(fr netif.Frame) error {
 		return nil
 	}
 	hdr.Encap++
-	// The inner packet's GSO descriptor must not survive into the
-	// outer path: the netif boundary already split or flushed it (see
-	// netif.Output), this is the belt to that suspender.
-	hdr.GSO = nil
 
 	t.mu.Lock()
 	t.stats.Encapped++
@@ -394,8 +390,8 @@ func (m *Module) decapInput(pkt *mbuf.Mbuf, meta *proto.Meta) {
 
 	// Re-enter the stack as if the inner packet arrived on the tunnel
 	// device.  The owning stack's input function runs its flow
-	// steering over the inner headers, so GRO's per-worker engines see
-	// stable inner tuples.
+	// steering over the inner headers, so one inner flow stays on one
+	// netisr worker.
 	t.Ifp.Deliver(netif.Frame{EtherType: ether, Payload: pkt})
 }
 
