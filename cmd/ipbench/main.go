@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	ipbench [-t table1|table2|table3|table4|table5|figure8|micro|conns|stream|tunnel|topo|all] [-iters N] [-mb N] [-json] [-tag NAME] [-baseline]
+//	ipbench [-t table1|table2|table3|table4|table5|figure8|micro|conns|tunnel|topo|all] [-iters N] [-mb N] [-json] [-tag NAME] [-baseline]
 //
 // -t also accepts a comma-separated list (e.g. -t table5,tunnel) so
 // one run — and one JSON report — can cover several tables.
@@ -83,13 +83,6 @@ type microCell struct {
 	MBps float64 `json:"mb_s"`
 }
 
-// workerCell is one row of the stream table: bulk IPv6 TCP
-// throughput at a netisr worker count.
-type workerCell struct {
-	Workers int     `json:"workers"`
-	KBps    float64 `json:"kbps"`
-}
-
 // tunnelCell is one row of the transition-path table: bulk TCP
 // throughput across a configured tunnel, next to the native baselines
 // so the encapsulation tax is legible.
@@ -132,7 +125,6 @@ type report struct {
 	Figure8 []latencyCell  `json:"figure8,omitempty"`
 	Micro   []microCell    `json:"micro,omitempty"`
 	Conns   []connCell     `json:"conns,omitempty"`
-	Stream  []workerCell   `json:"stream,omitempty"`
 	Tunnel  []tunnelCell   `json:"tunnel,omitempty"`
 	Topo    []topoCell     `json:"topo,omitempty"`
 	// Snapshots holds the full counter state of every stack used by
@@ -152,12 +144,10 @@ type testbed struct {
 	port     uint16
 }
 
-func newTestbed() *testbed { return newTestbedOpts(bsd6.Options{}) }
-
-func newTestbedOpts(opts bsd6.Options) *testbed {
+func newTestbed() *testbed {
 	hub := bsd6.NewHub()
-	cli := bsd6.NewStack("cli", opts)
-	srv := bsd6.NewStack("srv", opts)
+	cli := bsd6.NewStack("cli", bsd6.Options{})
+	srv := bsd6.NewStack("srv", bsd6.Options{})
 	cIf := cli.AttachLink(hub, bsd6.LinkAddr{2, 0, 0, 0, 0, 1}, 1500)
 	sIf := srv.AttachLink(hub, bsd6.LinkAddr{2, 0, 0, 0, 0, 2}, 1500)
 	cli.ConfigureV4(cIf, bsd6.IP4{10, 0, 0, 1}, 24)
@@ -600,20 +590,6 @@ func conns() {
 	}
 }
 
-// streamTable measures bulk IPv6 TCP streaming across netisr worker
-// counts.
-func streamTable() {
-	fmt.Println("\nStream: TCP throughput by netisr workers, IPv6 (KB/s)")
-	fmt.Printf("%9s %12s\n", "workers", "KB/s")
-	for _, workers := range []int{1, 4, 8} {
-		tb := newTestbedOpts(bsd6.Options{NetisrWorkers: workers})
-		kbps := tb.stream(true, true, 1<<16, 1<<20, nil)
-		tb.close()
-		fmt.Printf("%9d %12.0f\n", workers, kbps)
-		results.Stream = append(results.Stream, workerCell{Workers: workers, KBps: kbps})
-	}
-}
-
 // tunnelStream builds a two-stack world whose hub carries only the
 // outer protocol, joins the stacks with configured tunnels of the
 // given mode, and measures bulk TCP throughput across the tunnel
@@ -861,9 +837,6 @@ func main() {
 	}
 	if run("conns") {
 		conns()
-	}
-	if run("stream") {
-		streamTable()
 	}
 	if run("tunnel") {
 		tunnelTable()

@@ -15,32 +15,30 @@ import (
 )
 
 // fastPathWorld is a four-node world for datapath equivalence checks:
-// three senders, each a distinct flow (the flow hash covers addresses,
-// not ports), and one receiver whose netisr worker count is the
-// variable under test.
+// three senders, each a distinct flow, and one receiver.
 type fastPathWorld struct {
 	senders []*core.Stack
 	rcv     *core.Stack
 }
 
-func newFastPathWorld(t *testing.T, workers int) *fastPathWorld {
+func newFastPathWorld(t *testing.T) *fastPathWorld {
 	t.Helper()
 	e := newEnv(t)
 	hub := e.hub()
 	w := &fastPathWorld{}
-	mk := func(name string, n int) *core.Stack {
-		s := core.NewStack(name, core.Options{Clock: e.clock, NetisrWorkers: n})
+	mk := func(name string) *core.Stack {
+		s := core.NewStack(name, core.Options{Clock: e.clock})
 		e.t.Cleanup(s.Close)
 		e.probes = append(e.probes, s.Pending)
 		return s
 	}
 	macs := []inet.LinkAddr{testnet.MacA, testnet.MacC, testnet.MacS}
 	for i, mac := range macs {
-		s := mk(fmt.Sprintf("snd%d", i), 1)
+		s := mk(fmt.Sprintf("snd%d", i))
 		s.AttachLink(hub, mac, 1500)
 		w.senders = append(w.senders, s)
 	}
-	w.rcv = mk("rcv", workers)
+	w.rcv = mk("rcv")
 	w.rcv.AttachLink(hub, testnet.MacB, 1500)
 	e.start()
 	return w
@@ -60,8 +58,7 @@ func fastPathPayload(sender, seq, size int) []byte {
 // runFastPathTraffic drives the same deterministic traffic mix through
 // a world and returns the delivered payloads per sender, in arrival
 // order. Sizes above the 1500-byte MTU fragment on output and
-// reassemble at the receiver, so the mix exercises the frag path under
-// whatever netisr configuration the world was built with.
+// reassemble at the receiver, so the mix exercises the frag path.
 func runFastPathTraffic(t *testing.T, w *fastPathWorld) map[int][][]byte {
 	t.Helper()
 	const port = 7
@@ -100,8 +97,7 @@ func runFastPathTraffic(t *testing.T, w *fastPathWorld) map[int][][]byte {
 	}
 
 	// Interleave the sequences round-robin so frames from different
-	// flows are adjacent in the shared hub, then let the receiver's
-	// flow steering sort them back out.
+	// flows are adjacent in the shared hub.
 	sizes := []int{9, 700, 1400, 52, 2800, 4000}
 	for seq, size := range sizes {
 		for i, c := range clis {
@@ -127,10 +123,8 @@ func runFastPathTraffic(t *testing.T, w *fastPathWorld) map[int][][]byte {
 	return got
 }
 
-// TestFastPathEquivalence checks that the pooled, flow-steered datapath
-// delivers byte-identical datagrams in per-flow order, whether the
-// receiver runs the classic single software interrupt (the seed
-// configuration) or parallel netisr workers. Mbuf poisoning is enabled
+// TestFastPathEquivalence checks that the pooled datapath delivers
+// byte-identical datagrams in per-flow order. Mbuf poisoning is enabled
 // so a freed-buffer reuse anywhere on the path corrupts a payload and
 // fails the comparison.
 func TestFastPathEquivalence(t *testing.T) {
@@ -138,20 +132,17 @@ func TestFastPathEquivalence(t *testing.T) {
 	defer mbuf.SetPoison(false)
 
 	sizes := []int{9, 700, 1400, 52, 2800, 4000}
-	for _, workers := range []int{1, 4} {
-		got := runFastPathTraffic(t, newFastPathWorld(t, workers))
-		for sender := 0; sender < 3; sender++ {
-			seqs := got[sender]
-			if len(seqs) != len(sizes) {
-				t.Fatalf("workers=%d sender %d: got %d datagrams, want %d",
-					workers, sender, len(seqs), len(sizes))
-			}
-			for seq, data := range seqs {
-				want := fastPathPayload(sender, seq, sizes[seq])
-				if !bytes.Equal(data, want) {
-					t.Fatalf("workers=%d sender %d datagram %d: payload mismatch (len %d vs %d)",
-						workers, sender, seq, len(data), len(want))
-				}
+	got := runFastPathTraffic(t, newFastPathWorld(t))
+	for sender := 0; sender < 3; sender++ {
+		seqs := got[sender]
+		if len(seqs) != len(sizes) {
+			t.Fatalf("sender %d: got %d datagrams, want %d", sender, len(seqs), len(sizes))
+		}
+		for seq, data := range seqs {
+			want := fastPathPayload(sender, seq, sizes[seq])
+			if !bytes.Equal(data, want) {
+				t.Fatalf("sender %d datagram %d: payload mismatch (len %d vs %d)",
+					sender, seq, len(data), len(want))
 			}
 		}
 	}

@@ -15,13 +15,12 @@ import (
 )
 
 // TestLossyLinkTCPStream moves a quarter megabyte each way over a link
-// that loses one frame in fifty, with four netisr workers per stack
-// and poison-on-free on.  Every byte must arrive intact in both
-// directions, so a buffer reused after its free would surface as a
-// corrupt stream; and the loss must actually have forced
-// retransmissions, or the recovery path went unexercised.  The test
-// checks delivered bytes and counters, not frame order, which depends
-// on goroutine scheduling.
+// that loses one frame in fifty, with poison-on-free on.  Every byte
+// must arrive intact in both directions, so a buffer reused after its
+// free would surface as a corrupt stream; and the loss must actually
+// have forced retransmissions, or the recovery path went unexercised.
+// The test checks delivered bytes and counters, not frame order, which
+// depends on goroutine scheduling.
 func TestLossyLinkTCPStream(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
@@ -31,7 +30,7 @@ func TestLossyLinkTCPStream(t *testing.T) {
 	hub.SetFaults(netif.Faults{Latency: 2 * time.Millisecond, Loss: 0.02})
 	hub.SetSeed(42)
 	mk := func(name string) *core.Stack {
-		s := core.NewStack(name, core.Options{Clock: e.clock, NetisrWorkers: 4})
+		s := core.NewStack(name, core.Options{Clock: e.clock})
 		t.Cleanup(s.Close)
 		e.probes = append(e.probes, s.Pending)
 		return s

@@ -31,9 +31,8 @@ type TraceLine struct {
 
 // NetisrSnapshot captures the input-queue state.
 type NetisrSnapshot struct {
-	Workers int    `json:"workers"`
-	Drops   uint64 `json:"drops"`
-	Depths  []int  `json:"depths"`
+	Drops  uint64 `json:"drops"`
+	Depths []int  `json:"depths"`
 }
 
 // LimitSnapshot describes one governance ceiling: the configured
@@ -127,7 +126,6 @@ type Snapshot struct {
 // per-counter (not cross-counter) consistent — the same guarantee
 // netstat(8) ever had.
 func (s *Stack) Snapshot() Snapshot {
-	depths := s.InqDepths()
 	snap := Snapshot{
 		Name:  s.Name,
 		Time:  s.clock.Now(),
@@ -140,9 +138,8 @@ func (s *Stack) Snapshot() Snapshot {
 		IPsec: stat.SnapshotCounters(&s.Sec.Stats),
 		Key:   stat.SnapshotCounters(&s.Keys.Stats),
 		Netisr: NetisrSnapshot{
-			Workers: len(depths),
-			Drops:   s.InqDrops.Get(),
-			Depths:  depths,
+			Drops:  s.InqDrops.Get(),
+			Depths: s.InqDepths(),
 		},
 		Limits:  s.limitsSnapshot(),
 		Reasons: s.Drops.Reasons.Snapshot(),

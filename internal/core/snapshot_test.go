@@ -41,8 +41,8 @@ func TestSnapshotObservability(t *testing.T) {
 	if snap.UDP["InNoPorts"] == 0 {
 		t.Fatal("UDP InNoPorts not in snapshot")
 	}
-	if snap.Netisr.Workers == 0 {
-		t.Fatal("netisr workers missing")
+	if len(snap.Netisr.Depths) != 1 {
+		t.Fatalf("netisr depths = %v, want one queue", snap.Netisr.Depths)
 	}
 	// The flight recorder holds the drop with its rendered detail.
 	found := false

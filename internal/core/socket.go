@@ -92,7 +92,12 @@ type Socket struct {
 	conn      *tcp.Conn
 	listening bool
 
-	sec    ipsec.SockOpts
+	// secMu guards sec alone.  TCP input reads sec through the
+	// security module while holding the TCP lock, and socket calls
+	// take the TCP lock while holding mu, so sec must not share mu.
+	secMu sync.Mutex
+	sec   ipsec.SockOpts
+
 	err    error
 	closed bool
 }
@@ -129,8 +134,8 @@ func (sock *Socket) broadcast() {
 // security module's SocketOpts hook reads this through the packet's
 // socket back pointer (§3.3).
 func (sock *Socket) SecurityOpts() ipsec.SockOpts {
-	sock.mu.Lock()
-	defer sock.mu.Unlock()
+	sock.secMu.Lock()
+	defer sock.secMu.Unlock()
 	return sock.sec
 }
 
@@ -140,8 +145,8 @@ func (sock *Socket) SetSecurity(opt SecurityOption, level ipsec.Level) error {
 	if level < 0 || level > 3 {
 		return fmt.Errorf("socket: invalid security level %d", level)
 	}
-	sock.mu.Lock()
-	defer sock.mu.Unlock()
+	sock.secMu.Lock()
+	defer sock.secMu.Unlock()
 	switch opt {
 	case SoSecurityAuthentication:
 		sock.sec.Auth = level
@@ -165,9 +170,9 @@ func (sock *Socket) SetSecurityBypass(euid int) error {
 	if euid != 0 {
 		return errors.New("socket: EPERM: security bypass requires effective uid 0")
 	}
-	sock.mu.Lock()
+	sock.secMu.Lock()
 	sock.sec.Bypass = true
-	sock.mu.Unlock()
+	sock.secMu.Unlock()
 	sock.stack.secActive.Store(true)
 	return nil
 }

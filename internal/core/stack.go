@@ -57,17 +57,16 @@ type Stack struct {
 	// protocol module above.
 	Drops *stat.Recorder
 
-	// inqs are the netisr input queues, one per worker; a flow hash
-	// over the IP addresses steers each frame to a fixed queue so
-	// packets of one flow never reorder against each other.
-	inqs     []chan inputItem
-	InqDrops stat.Counter // frames dropped because an input queue was full
+	// inq is the netisr input queue.  One goroutine drains it, so the
+	// stack handles its input in arrival order.
+	inq      chan inputItem
+	InqDrops stat.Counter // frames dropped because the input queue was full
 
 	// MbufDrops counts frames refused by the queued-byte ceiling
 	// (Options.MbufLimit) — the backpressure that keeps a flood from
 	// ballooning mbuf memory behind a slow netisr.
 	MbufDrops stat.Counter
-	mbufLimit int          // bytes of payload the input queues may hold
+	mbufLimit int          // bytes of payload the input queue may hold
 	inqBytes  atomic.Int64 // payload bytes currently queued
 
 	// secActive flips once any socket sets a security level; see the
@@ -95,14 +94,6 @@ type inputItem struct {
 
 // Options configures stack construction.
 type Options struct {
-	// InputQueueLen sizes each netisr queue (BSD's ifqmaxlen spirit).
-	InputQueueLen int
-	// NetisrWorkers is the number of netisr goroutines draining the
-	// input queues in parallel. Frames are steered to workers by a
-	// flow hash over the IP addresses, preserving per-flow order.
-	// Default: GOMAXPROCS. Use 1 for the classic single software
-	// interrupt.
-	NetisrWorkers int
 	// NoTimers disables the periodic protocol timers; tests and
 	// benchmarks then drive Tick themselves.
 	NoTimers bool
@@ -140,21 +131,11 @@ type Options struct {
 	// tcp.DefaultTimeWaitMax); overflow evicts the record closest to
 	// expiry with tcp-time-wait-overflow.
 	TimeWaitMax int
-	// PCBShards sets the TCP/UDP demux shard count (default
-	// pcb.DefaultShards, rounded up to a power of two).
-	PCBShards int
 	// MbufLimit caps the payload bytes held in the netisr input
-	// queues (default DefaultMbufLimit); past it, input frames are
+	// queue (default DefaultMbufLimit); past it, input frames are
 	// refused with mbuf-limit and freed back to the pool instead of
 	// accumulating unboundedly behind a slow consumer.
 	MbufLimit int
-
-	// TunNestLimit bounds tunnel nesting — how many encapsulations
-	// (and decapsulations) one packet may traverse on this node
-	// (default tunnel.DefaultNestLimit; negative selects the hard
-	// recursion ceiling rather than "off", since unlimited nesting
-	// could recurse the output path to exhaustion).
-	TunNestLimit int
 }
 
 // Defaults for the governance ceilings whose home is the stack
@@ -164,9 +145,9 @@ const (
 	DefaultNDCacheMax = 512
 	// DefaultMbufLimit bounds netisr-queued payload bytes (4 MiB).
 	DefaultMbufLimit = 4 << 20
-	// DefaultBurstSize is the frames a netisr worker drains per wakeup
-	// (DESIGN.md "Burst dequeue" records what it is measured to buy).
-	DefaultBurstSize = 32
+	// InputQueueLen is the netisr queue's slot count (BSD's ifqmaxlen
+	// spirit).
+	InputQueueLen = 512
 )
 
 // limitOpt resolves a governance tunable: positive is taken as-is,
@@ -184,12 +165,6 @@ func limitOpt(v, def int) int {
 
 // NewStack builds and starts a stack.
 func NewStack(name string, opts Options) *Stack {
-	if opts.InputQueueLen == 0 {
-		opts.InputQueueLen = 512
-	}
-	if opts.NetisrWorkers <= 0 {
-		opts.NetisrWorkers = runtime.GOMAXPROCS(0)
-	}
 	if opts.Clock == nil {
 		opts.Clock = vclock.Real()
 	}
@@ -198,12 +173,9 @@ func NewStack(name string, opts Options) *Stack {
 		Name:  name,
 		RT:    rt,
 		Hosts: inet.NewHostTable(),
-		inqs:  make([]chan inputItem, opts.NetisrWorkers),
+		inq:   make(chan inputItem, InputQueueLen),
 		stop:  make(chan struct{}),
 		clock: opts.Clock,
-	}
-	for i := range s.inqs {
-		s.inqs[i] = make(chan inputItem, opts.InputQueueLen)
 	}
 	rt.Now = s.clock.Now
 	s.Drops = stat.NewRecorder(traceRingSize)
@@ -228,9 +200,6 @@ func NewStack(name string, opts Options) *Stack {
 	s.Sec = ipsec.Attach(s.V6, s.Keys)
 	s.Tun = tunnel.Attach(s.V4, s.V6, s.ICMP6)
 	s.Tun.Drops = s.Drops
-	if opts.TunNestLimit != 0 {
-		s.Tun.SetNestLimit(opts.TunNestLimit)
-	}
 	s.UDP = udp.New(s.V4, s.V6)
 	s.TCP = tcp.New(s.V4, s.V6)
 	s.UDP.Drops = s.Drops
@@ -238,10 +207,6 @@ func NewStack(name string, opts Options) *Stack {
 	s.TCP.SynBacklogMax = opts.SynBacklogMax
 	s.TCP.SynCookies = opts.SynCookies
 	s.TCP.TimeWaitMax = opts.TimeWaitMax
-	if opts.PCBShards > 0 {
-		s.TCP.Table.SetShards(opts.PCBShards)
-		s.UDP.Table.SetShards(opts.PCBShards)
-	}
 
 	// Wire the cross-module relationships the paper describes.
 	s.UDP.InputPolicy = s.Sec.InputPolicy
@@ -275,11 +240,8 @@ func NewStack(name string, opts Options) *Stack {
 	s.V4.AddInterface(s.Lo)
 	s.V6.AddInterface(s.Lo)
 
-	// netisr workers.
-	for i, q := range s.inqs {
-		s.wg.Add(1)
-		go s.netisr(i, q)
-	}
+	s.wg.Add(1)
+	go s.netisr()
 
 	if !opts.NoTimers {
 		s.startTimers()
@@ -311,26 +273,23 @@ func (s *Stack) Close() {
 	// be by an enqueue that read closed before it was set; drain until
 	// none is left.
 	for s.pending.Load() > 0 {
-		for _, q := range s.inqs {
-			for len(q) > 0 {
-				it := <-q
-				it.fr.Payload.Free()
-				s.inqBytes.Add(-int64(it.n))
-				s.pending.Add(-1)
-			}
+		for len(s.inq) > 0 {
+			it := <-s.inq
+			it.fr.Payload.Free()
+			s.inqBytes.Add(-int64(it.n))
+			s.pending.Add(-1)
 		}
 		runtime.Gosched()
 	}
 }
 
 // enqueue is the driver-side input hook: non-blocking, dropping on
-// overflow as BSD's IF_DROP does. The flow hash pins every frame of a
-// flow to one worker queue so per-flow ordering survives parallelism.
-// Two ceilings apply: the per-queue slot count (RInqFull) and the
-// stack-wide queued-byte ceiling (RMbufLimit) that keeps a flood of
-// large frames from holding megabytes of slab memory hostage.  Either
-// way a refused frame is freed here — enqueue is its terminal
-// consumer, so overload backpressures the pool instead of leaking.
+// overflow as BSD's IF_DROP does.  Two ceilings apply: the queue's
+// slot count (RInqFull) and the queued-byte ceiling (RMbufLimit) that
+// keeps a flood of large frames from holding megabytes of slab memory
+// hostage.  Either way a refused frame is freed here — enqueue is its
+// terminal consumer, so overload backpressures the pool instead of
+// leaking.
 // A closed stack frees every frame it is handed.  pending is raised
 // before closed is read, and Close sets closed before it reads
 // pending, so either this call sees closed or Close waits for the
@@ -350,13 +309,9 @@ func (s *Stack) enqueue(ifp *netif.Interface, fr netif.Frame) {
 		fr.Payload.Free()
 		return
 	}
-	q := s.inqs[0]
-	if len(s.inqs) > 1 {
-		q = s.inqs[flowHash(fr)%uint32(len(s.inqs))]
-	}
 	s.inqBytes.Add(int64(n))
 	select {
-	case q <- inputItem{ifp, fr, n}:
+	case s.inq <- inputItem{ifp, fr, n}:
 	default:
 		s.pending.Add(-1)
 		s.inqBytes.Add(-int64(n))
@@ -366,98 +321,28 @@ func (s *Stack) enqueue(ifp *netif.Interface, fr netif.Frame) {
 	}
 }
 
-// flowHash is an FNV-1a hash over the fields that identify a flow.
-// Ports are deliberately excluded so every fragment of a datagram —
-// only the first carries the transport header — steers to the same
-// worker. For IPv6 the addresses alone are hashed: the first
-// next-header byte is 44 (Fragment) on fragments but the transport
-// protocol on whole datagrams of the same flow, so mixing it in would
-// reorder a fragmented datagram against its flow-mates. The IPv4
-// protocol byte is invariant across fragments, so it stays in.
-// Non-IP frames (ARP) and runts hash by source MAC: pinning them all
-// to worker 0 skewed that queue under mixed load, while the source
-// address still keeps one sender's ARP traffic ordered.
-func flowHash(fr netif.Frame) uint32 {
-	const prime = 16777619
-	h := uint32(2166136261)
-	var b []byte
-	switch fr.EtherType {
-	case netif.EtherTypeIPv6:
-		if b = fr.Payload.PullUp(40); b == nil {
-			return macHash(fr.Src)
-		}
-		b = b[8:40] // src + dst
-	case netif.EtherTypeIPv4:
-		if b = fr.Payload.PullUp(20); b == nil {
-			return macHash(fr.Src)
-		}
-		h = (h ^ uint32(b[9])) * prime
-		b = b[12:20] // src + dst
-	default:
-		return macHash(fr.Src)
-	}
-	for _, c := range b {
-		h = (h ^ uint32(c)) * prime
-	}
-	return h
-}
-
-// macHash steers frames without a usable IP tuple by source link
-// address.
-func macHash(mac inet.LinkAddr) uint32 {
-	const prime = 16777619
-	h := uint32(2166136261)
-	for _, c := range mac {
-		h = (h ^ uint32(c)) * prime
-	}
-	return h
-}
-
-// netisr drains one input queue.  Each wakeup drains up to
-// DefaultBurstSize queued frames and dispatches them in order,
-// settling the queue accounting (inqBytes, pending) once per burst
-// instead of per frame.  pending stays raised until the whole burst is
-// dispatched, so quiescence probes never observe a half-processed
-// burst.
-func (s *Stack) netisr(w int, q chan inputItem) {
+// netisr drains the input queue, the software interrupt of BSD's
+// protocol input path: it dispatches one frame at a time, in arrival
+// order, and settles the queue accounting after each.  pending stays
+// raised until the frame is dispatched, so quiescence probes never
+// observe a half-processed frame.
+func (s *Stack) netisr() {
 	defer s.wg.Done()
-	burst := make([]inputItem, 0, DefaultBurstSize)
 	for {
 		select {
 		case <-s.stop:
 			return
-		case it := <-q:
-			burst = append(burst[:0], it)
-		fill:
-			for len(burst) < DefaultBurstSize {
-				select {
-				case it := <-q:
-					burst = append(burst, it)
-				default:
-					break fill
-				}
-			}
-			var bytes int64
-			for i := range burst {
-				bytes += int64(burst[i].n)
-				burst[i].fr.Payload.Hdr().Worker = w
-				s.dispatch(burst[i].ifp, burst[i].fr)
-			}
-			s.inqBytes.Add(-bytes)
-			s.pending.Add(-int64(len(burst)))
+		case it := <-s.inq:
+			s.dispatch(it.ifp, it.fr)
+			s.inqBytes.Add(-int64(it.n))
+			s.pending.Add(-1)
 		}
 	}
 }
 
-// InqDepths reports the instantaneous depth of each netisr worker
-// queue, for netstat.
-func (s *Stack) InqDepths() []int {
-	out := make([]int, len(s.inqs))
-	for i, q := range s.inqs {
-		out[i] = len(q)
-	}
-	return out
-}
+// InqDepths reports the instantaneous depth of the netisr queue, as a
+// one-element slice, for netstat.
+func (s *Stack) InqDepths() []int { return []int{len(s.inq)} }
 
 func (s *Stack) dispatch(ifp *netif.Interface, fr netif.Frame) {
 	switch fr.EtherType {
@@ -631,8 +516,7 @@ func (s *Stack) DefaultRoute4(gw inet.IP4, ifName string) {
 
 // AddTunnel configures an encapsulation tunnel (6in4 / 4in6 / 6in6)
 // and wires its device into the stack: decapsulated packets re-enter
-// through the netisr input queues, where the flow hash steers them by
-// their *inner* tuple.  Routes pointed at the returned tunnel's
+// through the netisr input queue.  Routes pointed at the returned tunnel's
 // interface name send traffic through it.
 func (s *Stack) AddTunnel(cfg tunnel.Config) (*tunnel.Tunnel, error) {
 	t, err := s.Tun.Add(cfg)

@@ -25,6 +25,7 @@ package key
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -281,7 +282,29 @@ func (e *Engine) indexAddLocked(k saKey, sa *SA) {
 	sh.mu.Unlock()
 	dk := dstKey{k.dst, k.proto}
 	e.byDst[dk] = append(e.byDst[dk], sa)
-	if sa.Proto == ProtoESPTunnel && sa.SelPlen > 0 {
+	if hasSelector(sa) {
+		e.sel = append(e.sel, sa)
+	}
+}
+
+// indexReplaceLocked swaps sa in for old, stored under k, in every
+// index at once: the inbound shard entry is overwritten under one
+// shard lock, so a concurrent LookupSPI sees old or sa and never a
+// miss, and the outbound entries keep their positions.  Caller holds
+// e.mu exclusive.
+func (e *Engine) indexReplaceLocked(k saKey, old, sa *SA) {
+	sh := e.shardFor(k.spi)
+	sh.mu.Lock()
+	sh.m[k] = sa
+	sh.mu.Unlock()
+	l := e.byDst[dstKey{k.dst, k.proto}]
+	l[slices.Index(l, old)] = sa
+	switch i := slices.Index(e.sel, old); {
+	case i >= 0 && hasSelector(sa):
+		e.sel[i] = sa
+	case i >= 0:
+		e.sel = slices.Delete(e.sel, i, i+1)
+	case hasSelector(sa):
 		e.sel = append(e.sel, sa)
 	}
 }
@@ -304,7 +327,7 @@ func (e *Engine) indexDelLocked(k saKey, sa *SA) {
 	if len(e.byDst[dk]) == 0 {
 		delete(e.byDst, dk)
 	}
-	if sa.Proto == ProtoESPTunnel && sa.SelPlen > 0 {
+	if hasSelector(sa) {
 		for i, x := range e.sel {
 			if x == sa {
 				e.sel = append(e.sel[:i], e.sel[i+1:]...)
@@ -313,6 +336,9 @@ func (e *Engine) indexDelLocked(k saKey, sa *SA) {
 		}
 	}
 }
+
+// hasSelector reports whether sa belongs in the selector index.
+func hasSelector(sa *SA) bool { return sa.Proto == ProtoESPTunnel && sa.SelPlen > 0 }
 
 // recordDeleted remembers k in the bounded recently-deleted ring.
 func (e *Engine) recordDeleted(k saKey) {
@@ -401,9 +427,8 @@ func (e *Engine) Update(sa *SA) error {
 	} {
 		atomic.AddUint64(c[0], atomic.LoadUint64(c[1]))
 	}
-	e.indexDelLocked(k, old)
 	e.sas[k] = sa
-	e.indexAddLocked(k, sa)
+	e.indexReplaceLocked(k, old, sa)
 	e.gen.Add(1)
 	e.notifyLocked(Message{Type: MsgUpdate, SA: sa})
 	return nil

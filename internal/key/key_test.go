@@ -1,6 +1,7 @@
 package key
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -292,5 +293,81 @@ func TestClosedSocketDropped(t *testing.T) {
 	// No daemon remains: lookups return ErrNoAssoc, not delayed.
 	if _, err := e.GetBySocket(inet.IP6{}, ip6(t, "::2"), ProtoAH, nil, false); err != ErrNoAssoc {
 		t.Fatalf("closed daemon still counted: %v", err)
+	}
+}
+
+// TestUpdateNeverHidesLiveSA races SADB_UPDATE against the inbound
+// datapath.  An update replaces a live association, so every
+// concurrent LookupSPI must find either the old object or its
+// replacement; a lookup that misses would drop a packet sent under an
+// SA that never stopped existing.  The outbound index must still
+// resolve the association afterwards.
+func TestUpdateNeverHidesLiveSA(t *testing.T) {
+	e := NewEngine()
+	dst := ip6(t, "2001:db8::2")
+	const spi = 0x71
+	if err := e.Add(mkSA(spi, dst, ProtoAH)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := e.Update(mkSA(spi, dst, ProtoAH)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	misses := 0
+	for i := 0; i < 200_000; i++ {
+		if _, res := e.LookupSPI(spi, dst, ProtoAH); res != SPIHit {
+			misses++
+		}
+	}
+	close(done)
+	wg.Wait()
+	if misses > 0 {
+		t.Fatalf("%d of 200000 lookups missed an association being updated", misses)
+	}
+	sa, err := e.GetBySocket(inet.IP6{}, dst, ProtoAH, nil, false)
+	if err != nil || sa.SPI != spi {
+		t.Fatalf("outbound lookup after updates: %v, %v", sa, err)
+	}
+	if n := len(e.Dump()); n != 1 {
+		t.Fatalf("%d associations after updates, want 1", n)
+	}
+}
+
+// TestUpdateMovesSelector checks that an update which adds or drops a
+// tunnel SA's destination selector moves the association in or out of
+// the selector index, so gateway lookups follow the new selector.
+func TestUpdateMovesSelector(t *testing.T) {
+	e := NewEngine()
+	gw := ip6(t, "2001:db8::1")
+	host := ip6(t, "2001:db8:5::9")
+	tunnelSA := func(plen int) *SA {
+		sa := mkSA(0x90, gw, ProtoESPTunnel)
+		sa.SelDst, sa.SelPlen = ip6(t, "2001:db8:5::"), plen
+		return sa
+	}
+	if err := e.Add(tunnelSA(48)); err != nil {
+		t.Fatal(err)
+	}
+	for _, plen := range []int{48, 0, 48} {
+		if err := e.Update(tunnelSA(plen)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := e.GetBySocket(inet.IP6{}, host, ProtoESPTunnel, nil, false)
+		if found := err == nil; found != (plen > 0) || len(e.sel) != min(plen, 1) {
+			t.Fatalf("selector /%d: host lookup err %v, %d selector entries", plen, err, len(e.sel))
+		}
 	}
 }

@@ -20,7 +20,6 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 	// data into rcvBuf/reassQ and respondRST builds a fresh segment, so
 	// the pooled slab goes back to its pool on return.
 	defer pkt.Free()
-	w := pkt.Hdr().Worker
 	b := pkt.Bytes()
 	if meta.Family == inet.AFInet6 {
 		ovl := ipv6Ovly{src: meta.Src6, dst: meta.Dst6, nh: proto.TCP}
@@ -92,16 +91,15 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 		t.mu.Unlock()
 		return
 	}
-	t.Stats.RcvPack.Add(w, 1)
-	t.Stats.RcvByte.Add(w, uint64(tlen))
-	c.segInput(th, data, meta, src, dst, w)
+	t.Stats.RcvPack.Inc()
+	t.Stats.RcvByte.Add(uint64(tlen))
+	c.segInput(th, data, meta, src, dst)
 	t.mu.Unlock()
 	t.flush()
 }
 
-// segInput runs the state machine for one trimmed segment. w indexes
-// the sharded fast-path counters. t.mu held.
-func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet.IP6, w int) {
+// segInput runs the state machine for one trimmed segment. t.mu held.
+func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet.IP6) {
 	t := c.t
 	switch c.state {
 	case StateClosed:
@@ -135,7 +133,7 @@ func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet
 			// give output a chance at the freed window.
 			if seqGT(th.Ack, c.sndUna) && seqLEQ(th.Ack, c.sndMax) &&
 				c.cwnd >= c.sndWnd {
-				t.Stats.PredAck.Inc(w)
+				t.Stats.PredAck.Inc()
 				if c.ackNew(th.Ack) {
 					return
 				}
@@ -150,7 +148,7 @@ func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet
 			// Pure in-order data with an empty reassembly queue:
 			// deliver directly and schedule a delayed ACK — every
 			// other full segment forces one out (RFC 1122 §4.2.3.2).
-			t.Stats.PredDat.Inc(w)
+			t.Stats.PredDat.Inc()
 			c.rcvNxt += uint32(tlen)
 			c.rcvBuf = sbappend(&c.rcvArr, c.rcvBuf, data, c.RcvBufMax)
 			if c.delack {

@@ -19,9 +19,8 @@
 // compose on the ordinary machinery.  Decapsulation validates the
 // outer endpoints against the configured tunnels, charges typed drop
 // reasons for everything it refuses, and re-enters the inner IP
-// layer's input path through the tunnel device's Deliver — which means
-// the stack's flow steering re-hashes the now-inner headers, keeping
-// per-flow worker affinity stable across decapsulation.
+// layer's input path through the tunnel device's Deliver, which queues
+// the inner packet on the stack's netisr like any received frame.
 //
 // Both encapsulation and decapsulation count against an RFC 2473-style
 // nesting limit carried in the packet header, so a tunnel routed into
@@ -389,9 +388,7 @@ func (m *Module) decapInput(pkt *mbuf.Mbuf, meta *proto.Meta) {
 	t.mu.Unlock()
 
 	// Re-enter the stack as if the inner packet arrived on the tunnel
-	// device.  The owning stack's input function runs its flow
-	// steering over the inner headers, so one inner flow stays on one
-	// netisr worker.
+	// device.
 	t.Ifp.Deliver(netif.Frame{EtherType: ether, Payload: pkt})
 }
 
