@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bsd6/internal/inet"
@@ -81,6 +82,10 @@ type Socket struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
+	// wakeups counts broadcasts.  It is bumped under mu, so a caller
+	// that read it before a TCP call and finds it unchanged under mu
+	// knows no wakeup fired in between and may wait (waitSince).
+	wakeups atomic.Uint64
 
 	// Datagram state.
 	p       *pcb.PCB
@@ -126,8 +131,25 @@ func (sock *Socket) clock() vclock.Clock { return sock.stack.clock }
 
 func (sock *Socket) broadcast() {
 	sock.mu.Lock()
+	sock.wakeups.Add(1)
 	sock.cond.Broadcast()
 	sock.mu.Unlock()
+}
+
+// waitSince waits for a broadcast or the deadline, unless a broadcast
+// already fired since the caller read seq from sock.wakeups.  Callers
+// read seq before the TCP call that found nothing to do and then wait
+// here without holding mu across that call (flush runs wakeups, which
+// take mu), so a wakeup in the gap is not lost.  Returns false on
+// timeout; a broadcast that lands together with the deadline counts,
+// so the caller re-checks its condition before giving up.
+func (sock *Socket) waitSince(seq uint64, deadline time.Time) bool {
+	sock.mu.Lock()
+	defer sock.mu.Unlock()
+	if sock.wakeups.Load() != seq {
+		return true
+	}
+	return sock.waitLocked(deadline) || sock.wakeups.Load() != seq
 }
 
 // SecurityOpts returns the socket's requested security levels; the
@@ -328,19 +350,19 @@ func (sock *Socket) Accept(timeout time.Duration) (*Socket, error) {
 	cs := &Socket{stack: sock.stack, family: sock.family, typ: SockStream, RqMax: sock.RqMax}
 	cs.cond = sync.NewCond(&cs.mu)
 	for {
+		seq := sock.wakeups.Load()
 		cs.sec = sock.SecurityOpts() // children inherit security levels
 		if child := sock.conn.Accept(cs.broadcast, cs); child != nil {
 			cs.conn = child
 			return cs, nil
 		}
 		sock.mu.Lock()
-		if sock.closed {
-			sock.mu.Unlock()
+		closed := sock.closed
+		sock.mu.Unlock()
+		if closed {
 			return nil, ErrClosedSock
 		}
-		ok := sock.waitLocked(deadline)
-		sock.mu.Unlock()
-		if !ok {
+		if !sock.waitSince(seq, deadline) {
 			return nil, ErrTimeoutSock
 		}
 	}
@@ -374,18 +396,14 @@ func (sock *Socket) Send(data []byte, timeout time.Duration) (int, error) {
 		}
 		sent := 0
 		for sent < len(data) {
+			seq := sock.wakeups.Load()
 			n, err := sock.conn.Send(data[sent:])
 			if err != nil {
 				return sent, err
 			}
 			sent += n
-			if n == 0 {
-				sock.mu.Lock()
-				ok := sock.waitLocked(deadline)
-				sock.mu.Unlock()
-				if !ok {
-					return sent, ErrTimeoutSock
-				}
+			if n == 0 && !sock.waitSince(seq, deadline) {
+				return sent, ErrTimeoutSock
 			}
 		}
 		return sent, nil
@@ -479,6 +497,7 @@ func (sock *Socket) recvStream(max int, deadline time.Time) ([]byte, error) {
 		max = 64 << 10
 	}
 	for {
+		seq := sock.wakeups.Load()
 		data, err := sock.conn.Recv(max)
 		if err != nil {
 			if errors.Is(err, tcp.ErrClosed) {
@@ -489,10 +508,7 @@ func (sock *Socket) recvStream(max int, deadline time.Time) ([]byte, error) {
 		if data != nil {
 			return data, nil
 		}
-		sock.mu.Lock()
-		ok := sock.waitLocked(deadline)
-		sock.mu.Unlock()
-		if !ok {
+		if !sock.waitSince(seq, deadline) {
 			return nil, ErrTimeoutSock
 		}
 	}
@@ -512,6 +528,7 @@ func (sock *Socket) ReadInto(p []byte, timeout time.Duration) (int, error) {
 		deadline = sock.clock().Now().Add(timeout)
 	}
 	for {
+		seq := sock.wakeups.Load()
 		n, err := sock.conn.ReadInto(p)
 		if err != nil {
 			if errors.Is(err, tcp.ErrClosed) {
@@ -522,10 +539,7 @@ func (sock *Socket) ReadInto(p []byte, timeout time.Duration) (int, error) {
 		if n > 0 {
 			return n, nil
 		}
-		sock.mu.Lock()
-		ok := sock.waitLocked(deadline)
-		sock.mu.Unlock()
-		if !ok {
+		if !sock.waitSince(seq, deadline) {
 			return 0, ErrTimeoutSock
 		}
 	}
@@ -540,6 +554,7 @@ func (sock *Socket) Close() error {
 		return nil
 	}
 	sock.closed = true
+	sock.wakeups.Add(1)
 	sock.cond.Broadcast()
 	sock.mu.Unlock()
 	switch sock.typ {

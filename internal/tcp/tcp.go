@@ -450,15 +450,18 @@ func (c *Conn) Connect(faddr inet.IP6, fport uint16) error {
 	return nil
 }
 
-// Send appends data to the send buffer, returning how many bytes were
-// accepted (0 when the buffer is full; wait for Wakeup).
 // sbappend appends to a socket-buffer slice whose front the consumer
 // trims by reslicing (sndBuf on ACK, rcvBuf on Recv).  A plain append
 // would reallocate on every refill — the trim discards front capacity,
 // so a buffer held near its cap copies its whole backlog each time and
 // the dead arrays feed the collector.  Instead the live bytes are
-// compacted back to the head of a long-lived backing array, sized to
-// twice the buffer cap so at least max bytes flow between compactions:
+// compacted back to the head of a long-lived backing array.  The
+// array is sized on demand: the first append allocates twice its own
+// size, and an append that would leave the array less than half free
+// grows it to at least twice the live bytes and twice its old size,
+// capped at twice the buffer cap.  A 64-byte exchange thus allocates
+// 128 bytes, not 2*max, while every compaction still frees at least
+// half the array (at least max bytes once it reaches its cap), so
 // steady-state streaming costs O(1) copies per byte and no allocation.
 // buf need not alias *arr (handoff from a bare slice is a copy in).
 //
@@ -470,9 +473,16 @@ func sbappend(arr *[]byte, buf, data []byte, max int) []byte {
 	}
 	want := len(buf) + len(data)
 	a := *arr
-	if cap(a) < want {
-		// First use, or the app raised the buffer cap mid-stream.
-		size := 2 * max
+	if cap(a) < want || (cap(a) < 2*want && cap(a) < 2*max) {
+		// First use, a backlog past half the array, or the app
+		// raised the buffer cap mid-stream.
+		size := 2 * want
+		if size < 2*cap(a) {
+			size = 2 * cap(a)
+		}
+		if size > 2*max {
+			size = 2 * max
+		}
 		if size < want {
 			size = want
 		}
@@ -484,6 +494,8 @@ func sbappend(arr *[]byte, buf, data []byte, max int) []byte {
 	return append(a[:n], data...)
 }
 
+// Send appends data to the send buffer, returning how many bytes were
+// accepted (0 when the buffer is full; wait for Wakeup).
 func (c *Conn) Send(data []byte) (int, error) {
 	t := c.t
 	t.mu.Lock()
@@ -548,6 +560,7 @@ func (c *Conn) Recv(n int) ([]byte, error) {
 	// sbappend, which would scribble over a zero-copy view.
 	out := append(make([]byte, 0, n), c.rcvBuf[:n]...)
 	c.rcvBuf = c.rcvBuf[n:]
+	c.rcvDrained()
 	// The freed buffer space may open the advertised window enough to
 	// deserve a window update.
 	if c.state == StateEstablished && int(c.rcvAdv-c.rcvNxt) < c.rcvSpace()/2 {
@@ -582,6 +595,7 @@ func (c *Conn) ReadInto(p []byte) (int, error) {
 	}
 	n := copy(p, c.rcvBuf)
 	c.rcvBuf = c.rcvBuf[n:]
+	c.rcvDrained()
 	if c.state == StateEstablished && int(c.rcvAdv-c.rcvNxt) < c.rcvSpace()/2 {
 		c.needAck = true
 		c.output()
@@ -589,6 +603,14 @@ func (c *Conn) ReadInto(p []byte) (int, error) {
 	t.mu.Unlock()
 	t.flush()
 	return n, nil
+}
+
+// rcvDrained releases the receive array once the user has read the
+// last byte a finished connection will ever deliver. Caller holds t.mu.
+func (c *Conn) rcvDrained() {
+	if len(c.rcvBuf) == 0 && (c.rcvClosed || c.state == StateClosed) {
+		c.rcvBuf, c.rcvArr = nil, nil
+	}
 }
 
 // Buffered returns the bytes queued in each direction, for pollers.
@@ -649,10 +671,20 @@ func (c *Conn) closeLocked(err error) {
 	}
 	c.state = StateClosed
 	c.tRexmt, c.tPersist, c.tConn = 0, 0, 0
+	c.releaseBufs()
 	c.unlinkSynLocked()
 	c.t.Table.Detach(c.pcb)
 	delete(c.t.conns, c)
 	c.wakeupLocked()
+}
+
+// releaseBufs drops the buffer arrays of a connection that sends no
+// more: the send side at once, the receive side once the user has read
+// it dry, so a handle kept after close pins no buffer memory. Caller
+// holds t.mu.
+func (c *Conn) releaseBufs() {
+	c.sndBuf, c.sndArr = nil, nil
+	c.rcvDrained()
 }
 
 // unlinkSynLocked removes an embryonic child from its listener's SYN

@@ -24,7 +24,7 @@ import (
 // tsim is a simulation plus test handle; tnode is a node plus TCP.
 type tsim struct {
 	*testnet.Sim
-	t *testing.T
+	t testing.TB
 }
 
 type tnode struct {
@@ -32,7 +32,7 @@ type tnode struct {
 	tcp *tcp.TCP
 }
 
-func newSim(t *testing.T) *tsim {
+func newSim(t testing.TB) *tsim {
 	return &tsim{Sim: testnet.NewSim(), t: t}
 }
 
@@ -47,7 +47,7 @@ func (s *tsim) node(name string) *tnode {
 	return n
 }
 
-func tcpPair(t *testing.T) (*tsim, *tnode, *tnode) {
+func tcpPair(t testing.TB) (*tsim, *tnode, *tnode) {
 	t.Helper()
 	s := newSim(t)
 	hub := s.NewHub()

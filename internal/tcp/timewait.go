@@ -146,19 +146,30 @@ func (t *TCP) twInsert(e *twEntry) {
 }
 
 // twEvictOldest drops the live record nearest to expiry, charging the
-// typed overflow reason. Caller holds t.mu.
+// typed overflow reason. It trims the victim and the dead records ahead
+// of it from the head of their slot, so each record is stepped over at
+// most once and eviction costs amortized O(1) even when every live
+// record shares the insertion slot. Caller holds t.mu.
 func (t *TCP) twEvictOldest() {
 	w := &t.tw
 	for i := 1; i <= twSlots; i++ {
 		slot := (w.cursor + i) % twSlots
-		for _, e := range w.wheel[slot] {
-			if !e.dead {
-				t.Stats.TimeWaitOverflow.Inc()
-				t.Drops.DropNote(stat.RTCPTimeWaitOverflow, e.key.String())
-				w.removeEntry(e)
-				return
-			}
+		// Trimmed cells are cleared so the backing array does not
+		// keep dead records alive until the slot expires.
+		s := w.wheel[slot]
+		for len(s) > 0 && s[0].dead {
+			s[0], s = nil, s[1:]
 		}
+		if len(s) == 0 {
+			w.wheel[slot] = nil
+			continue
+		}
+		e := s[0]
+		s[0], w.wheel[slot] = nil, s[1:]
+		t.Stats.TimeWaitOverflow.Inc()
+		t.Drops.DropNote(stat.RTCPTimeWaitOverflow, e.key.String())
+		w.removeEntry(e)
+		return
 	}
 }
 
@@ -221,8 +232,9 @@ func (t *TCP) twAck(e *twEntry) {
 // enterTimeWait compresses the connection into a 2MSL record: the full
 // Conn+PCB leave the demux and the timer sweep, and only the twEntry
 // holds the tuple until the quiet period ends. The user-visible handle
-// keeps its receive buffer (undelivered data stays readable) and
-// reports CLOSED once the record expires. Caller holds t.mu.
+// drops its send buffer and keeps its receive buffer only while
+// undelivered data remains readable; it reports CLOSED once the record
+// expires. Caller holds t.mu.
 func (c *Conn) enterTimeWait() {
 	t := c.t
 	e := &twEntry{
@@ -235,7 +247,8 @@ func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.twe = e
 	c.tRexmt, c.tPersist, c.tConn = 0, 0, 0
-	c.sndBuf, c.reassQ = nil, nil
+	c.reassQ = nil
+	c.releaseBufs()
 	c.ackTmplOK = false
 	t.Table.Detach(c.pcb)
 	delete(t.conns, c)

@@ -164,3 +164,70 @@ func TestTimeWaitUncappedWhenNegative(t *testing.T) {
 		t.Fatal("uncapped table evicted")
 	}
 }
+
+// twKeyN returns the n-th of up to 2^24 distinct tuples.
+func twKeyN(n int) twTuple {
+	k := twKey(uint16(n))
+	k.faddr[14] = byte(n >> 16)
+	return k
+}
+
+func TestTimeWaitEvictionTrimsSlot(t *testing.T) {
+	const limit, rounds = 16, 5
+	tc := New(nil, nil)
+	tc.Drops = stat.NewRecorder(8)
+	tc.TimeWaitMax = limit
+	// Every record lands in one slot within one tick, so each eviction
+	// past the cap takes the head of the slot it is filed in.
+	entries := make([]*twEntry, rounds*limit)
+	for i := range entries {
+		entries[i] = &twEntry{key: twKeyN(i), v6: true}
+		tc.twInsert(entries[i])
+	}
+	for i, e := range entries {
+		survivor := i >= len(entries)-limit
+		if survivor == e.dead || (tc.tw.get(e.key) == e) != survivor {
+			t.Fatalf("record %d: dead=%v, want survivor=%v", i, e.dead, survivor)
+		}
+	}
+	if tc.tw.count != limit {
+		t.Fatalf("count = %d, want %d", tc.tw.count, limit)
+	}
+	const evicted = (rounds - 1) * limit
+	if got := tc.Stats.TimeWaitOverflow.Get(); got != evicted {
+		t.Fatalf("TimeWaitOverflow = %d, want %d", got, evicted)
+	}
+	if got := tc.Drops.Reasons.Snapshot()[stat.RTCPTimeWaitOverflow.String()]; got != evicted {
+		t.Fatalf("typed reason count = %d, want %d", got, evicted)
+	}
+	// Evicted records left the slot rather than piling up at its head.
+	slot := entries[0].slot
+	if n := len(tc.tw.wheel[slot]); n > limit {
+		t.Fatalf("slot holds %d entries at cap %d", n, limit)
+	}
+}
+
+// BenchmarkTimeWaitInsertAtCap files compressed 2MSL records into a
+// table held at the default cap, as a churning server does: every
+// insert evicts the record nearest to expiry, and the wheel ticks once
+// per two table-fulls of inserts.
+func BenchmarkTimeWaitInsertAtCap(b *testing.B) {
+	tc := New(nil, nil)
+	tc.Drops = stat.NewRecorder(0)
+	n := 0
+	insert := func() {
+		tc.twInsert(&twEntry{key: twKeyN(n & (1<<24 - 1)), v6: true})
+		n++
+		if n%(2*DefaultTimeWaitMax) == 0 {
+			tc.twTick()
+		}
+	}
+	for i := 0; i < DefaultTimeWaitMax; i++ {
+		insert()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insert()
+	}
+}
